@@ -4,6 +4,7 @@
 // first request.
 //
 //   $ ./trace_replay
+#include <algorithm>
 #include <cstdio>
 
 #include "core/testbed.hpp"
@@ -11,7 +12,6 @@
 
 using namespace edgesim;
 using namespace edgesim::core;
-using namespace edgesim::timeliterals;
 
 int main() {
   TestbedOptions options;
@@ -21,12 +21,16 @@ int main() {
   // One nginx-shaped edge service per trace destination.
   const auto services =
       workload::generateFilteredServices(workload::BigFlowsParams{});
+  std::size_t generated = 0;
+  SimTime lastRequest;
+  for (const auto& service : services) {
+    generated += service.requestCount();
+    for (const auto& [time, clientIp] : service.requests) {
+      lastRequest = std::max(lastRequest, time);
+    }
+  }
   std::printf("trace: %zu services, %zu requests over 5 minutes\n",
-              services.size(), [&] {
-                std::size_t total = 0;
-                for (const auto& s : services) total += s.requestCount();
-                return total;
-              }());
+              services.size(), generated);
 
   for (const auto& service : services) {
     if (!bed.registerCatalogService("nginx", service.address).ok()) {
@@ -48,15 +52,17 @@ int main() {
     }
   }
 
-  bed.sim().runUntil(400_s);  // 5-minute trace + drain
+  // Drain: a client gives up on a request after its total timeout, so by
+  // then every request issued by the trace has an outcome.
+  bed.sim().runUntil(lastRequest + RequestOptions{}.totalTimeout);
 
   const auto* replay = bed.recorder().series("replay");
   if (replay == nullptr) {
     std::fprintf(stderr, "no requests recorded\n");
     return 1;
   }
-  std::printf("completed %zu/%d requests (%zu failed)\n", replay->count(),
-              1708, bed.recorder().failureCount());
+  std::printf("completed %zu/%zu requests (%zu failed)\n", replay->count(),
+              generated, bed.recorder().failureCount());
   std::printf("response time: median %.4f s, p95 %.4f s, max %.4f s\n",
               replay->median(), replay->p95(), replay->max());
   std::printf("deployments triggered on demand: %llu\n",

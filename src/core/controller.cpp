@@ -88,7 +88,7 @@ EdgeController::EdgeController(Simulation& sim, ControllerOptions options,
                                std::vector<ClusterAdapter*> adapters,
                                const AppProfileRegistry& profiles,
                                metrics::Recorder* recorder,
-                               trace::TraceRecorder* trace,
+                               trace::TraceRecorder& trace,
                                telemetry::MetricsRegistry* telemetry)
     : sim_(sim),
       options_(options),
@@ -102,13 +102,31 @@ EdgeController::EdgeController(Simulation& sim, ControllerOptions options,
   if (telemetry_ != nullptr) {
     warmHist_ = &telemetry_->histogram("edgesim_resolve_seconds",
                                        {{"path", "warm"}});
-    resolvedCtr_ = &telemetry_->counter("edgesim_requests_total",
-                                        {{"outcome", "resolved"}});
-    failedCtr_ = &telemetry_->counter("edgesim_requests_total",
-                                      {{"outcome", "failed"}});
-    degradedCtr_ = &telemetry_->counter("edgesim_requests_total",
-                                        {{"outcome", "degraded"}});
-    scaleDownsCtr_ = &telemetry_->counter("edgesim_scale_downs_total");
+    hoLatencyHist_ = &telemetry_->histogram("edgesim_handover_latency_seconds");
+    hoGapHist_ =
+        &telemetry_->histogram("edgesim_handover_continuity_gap_seconds");
+    auto& registry = *telemetry_;
+    registry.counterFn("edgesim_requests_total", {{"outcome", "resolved"}},
+                       resolved_);
+    registry.counterFn("edgesim_requests_total", {{"outcome", "failed"}},
+                       failed_);
+    registry.counterFn("edgesim_requests_total", {{"outcome", "degraded"}},
+                       degraded_);
+    registry.counterFn("edgesim_scale_downs_total", {}, scaleDowns_);
+    registry.counterFn("edgesim_ctrl_channel_acks_total",
+                       {{"result", "acked"}}, flowModsAcked_);
+    registry.counterFn("edgesim_ctrl_channel_acks_total",
+                       {{"result", "timeout"}}, flowModsTimedOut_);
+    registry.counterFn("edgesim_ctrl_channel_retries_total", {},
+                       flowModResends_);
+    registry.counterFn("edgesim_ctrl_channel_failovers_total", {},
+                       flowModFailovers_);
+    registry.counterFn("edgesim_handovers_total", {{"outcome", "started"}},
+                       handoversStarted_);
+    registry.counterFn("edgesim_handovers_total", {{"outcome", "completed"}},
+                       handoversCompleted_);
+    registry.counterFn("edgesim_handovers_total",
+                       {{"outcome", "aborted_to_cloud"}}, handoversAborted_);
   }
   if (options_.overload.enabled) {
     governor_ = std::make_unique<overload::OverloadGovernor>(
@@ -281,19 +299,15 @@ void EdgeController::handleSubmit(Ipv4 client, Endpoint serviceAddress,
     warmHits_.fetch_add(1, std::memory_order_relaxed);
     resolved_.fetch_add(1, std::memory_order_relaxed);
     if (warmHist_ != nullptr) {
-      // Warm answers complete within the same sim instant; the series
-      // carries the count (and the registry's striped cells keep this
-      // worker-thread safe).
+      // Warm answers complete within the same sim instant; the registry's
+      // striped cells keep this worker-thread safe.
       warmHist_->observe(0.0);
-      resolvedCtr_->add();
     }
-    if (trace_ != nullptr) {
-      const trace::RequestId rid = trace_->newRequest();
-      trace_->instant(rid, "warm-hit", "controller", now,
-                      {{"client", client.toString()},
-                       {"instance", memorized->instance.toString()},
-                       {"cluster", memorized->cluster}});
-    }
+    const trace::RequestId rid = trace_.newRequest();
+    trace_.instant(rid, "warm-hit", "controller", now,
+                   {{"client", client.toString()},
+                    {"instance", memorized->instance.toString()},
+                    {"cluster", memorized->cluster}});
     cb(Redirect{memorized->instance, memorized->cluster, true});
     return;
   }
@@ -326,21 +340,17 @@ void EdgeController::resolveCold(Ipv4 client, Endpoint serviceAddress,
   const ServiceModel* service = serviceAt(serviceAddress);
   if (service == nullptr) {
     failed_.fetch_add(1, std::memory_order_relaxed);
-    if (failedCtr_ != nullptr) failedCtr_->add();
     cb(makeError(Errc::kNotFound,
                  "no service registered at " + serviceAddress.toString()));
     return;
   }
-  trace::RequestId rid = 0;
-  trace::SpanId span = 0;
-  if (trace_ != nullptr) {
-    rid = trace_->newRequest();
-    trace_->instant(rid, "submit-cold", "controller", sim_.now(),
-                    {{"client", client.toString()},
-                     {"service", serviceAddress.toString()}});
-    span = trace_->beginSpan(rid, "resolve", "controller", sim_.now(),
-                             {{"service", service->uniqueName}});
-  }
+  const trace::RequestId rid = trace_.newRequest();
+  trace_.instant(rid, "submit-cold", "controller", sim_.now(),
+                 {{"client", client.toString()},
+                  {"service", serviceAddress.toString()}});
+  const trace::SpanId span =
+      trace_.beginSpan(rid, "resolve", "controller", sim_.now(),
+                       {{"service", service->uniqueName}});
   const SimTime startedAt = sim_.now();
   const std::string tag = service->tag;
   dispatcher_->resolve(
@@ -349,12 +359,9 @@ void EdgeController::resolveCold(Ipv4 client, Endpoint serviceAddress,
        cb = std::move(cb)](Result<Redirect> result) {
         if (!result.ok()) {
           failed_.fetch_add(1, std::memory_order_relaxed);
-          if (failedCtr_ != nullptr) failedCtr_->add();
-          if (trace_ != nullptr) {
-            trace_->endSpan(span, sim_.now(),
-                            {{"ok", "false"},
-                             {"error", result.error().toString()}});
-          }
+          trace_.endSpan(span, sim_.now(),
+                         {{"ok", "false"},
+                          {"error", result.error().toString()}});
           cb(std::move(result));
           return;
         }
@@ -363,13 +370,11 @@ void EdgeController::resolveCold(Ipv4 client, Endpoint serviceAddress,
           // governor already counted the reason -- the request lands in
           // the shed bucket, not resolved.
           shed_.fetch_add(1, std::memory_order_relaxed);
-          if (trace_ != nullptr) {
-            trace_->endSpan(span, sim_.now(),
-                            {{"ok", "true"},
-                             {"shed", "true"},
-                             {"instance", result.value().instance.toString()},
-                             {"cluster", result.value().cluster}});
-          }
+          trace_.endSpan(span, sim_.now(),
+                         {{"ok", "true"},
+                          {"shed", "true"},
+                          {"instance", result.value().instance.toString()},
+                          {"cluster", result.value().cluster}});
           cb(std::move(result));
           return;
         }
@@ -378,14 +383,11 @@ void EdgeController::resolveCold(Ipv4 client, Endpoint serviceAddress,
           degraded_.fetch_add(1, std::memory_order_relaxed);
         }
         recordResolveOutcome(serviceAddress, tag, startedAt,
-                             result.value().fromMemory,
-                             result.value().degraded, rid);
-        if (trace_ != nullptr) {
-          trace_->endSpan(span, sim_.now(),
-                          {{"ok", "true"},
-                           {"instance", result.value().instance.toString()},
-                           {"cluster", result.value().cluster}});
-        }
+                             result.value().fromMemory, rid);
+        trace_.endSpan(span, sim_.now(),
+                       {{"ok", "true"},
+                        {"instance", result.value().instance.toString()},
+                        {"cluster", result.value().cluster}});
         cb(std::move(result));
       },
       rid, deadline);
@@ -400,7 +402,6 @@ telemetry::Histogram* EdgeController::coldHistogram(
 void EdgeController::recordResolveOutcome(Endpoint serviceAddress,
                                           const std::string& tag,
                                           SimTime startedAt, bool fromMemory,
-                                          bool degraded,
                                           trace::RequestId rid) {
   if (telemetry_ == nullptr) return;
   const double seconds = (sim_.now() - startedAt).toSeconds();
@@ -409,8 +410,6 @@ void EdgeController::recordResolveOutcome(Endpoint serviceAddress,
   } else if (auto* hist = coldHistogram(serviceAddress); hist != nullptr) {
     hist->observe(seconds);
   }
-  resolvedCtr_->add();
-  if (degraded) degradedCtr_->add();
   if (!fromMemory && watchdog_ != nullptr) {
     watchdog_->observeRequest(tag, seconds, rid);
   }
@@ -540,10 +539,8 @@ void EdgeController::handleRegisteredService(OpenFlowSwitch& sw,
   if (pending.resolving) {
     // Duplicate packet-in (e.g. a retransmitted SYN) while deployment is in
     // progress: buffered, will be released with the first one.
-    if (trace_ != nullptr) {
-      trace_->instant(pending.rid, "packet-in-duplicate", "controller",
-                      sim_.now(), {{"buffer", strprintf("%u", event.bufferId)}});
-    }
+    trace_.instant(pending.rid, "packet-in-duplicate", "controller",
+                   sim_.now(), {{"buffer", strprintf("%u", event.bufferId)}});
     return;
   }
   pending.resolving = true;
@@ -559,17 +556,15 @@ void EdgeController::handleRegisteredService(OpenFlowSwitch& sw,
   // request triggers downstream (FlowMemory lookup, scheduler decision,
   // deployment phases, flow install) is stamped with it, and the client-side
   // timecurl measurement joins via the (client, service) flow binding.
-  if (trace_ != nullptr) {
-    pending.rid = trace_->newRequest();
-    trace_->bindFlow(client, service.address, pending.rid);
-    trace_->instant(pending.rid, "packet-in", "controller", sim_.now(),
-                    {{"client", client.toString()},
-                     {"service", service.address.toString()},
-                     {"packet", event.packet.summary()}});
-    pending.resolveSpan = trace_->beginSpan(
-        pending.rid, "resolve", "controller", sim_.now(),
-        {{"service", service.uniqueName}});
-  }
+  pending.rid = trace_.newRequest();
+  trace_.bindFlow(client, service.address, pending.rid);
+  trace_.instant(pending.rid, "packet-in", "controller", sim_.now(),
+                 {{"client", client.toString()},
+                  {"service", service.address.toString()},
+                  {"packet", event.packet.summary()}});
+  pending.resolveSpan = trace_.beginSpan(
+      pending.rid, "resolve", "controller", sim_.now(),
+      {{"service", service.uniqueName}});
   const trace::RequestId rid = pending.rid;
 
   dispatcher_->resolve(
@@ -586,15 +581,12 @@ void EdgeController::handleRegisteredService(OpenFlowSwitch& sw,
         }
         if (!result.ok()) {
           ++failed_;
-          if (failedCtr_ != nullptr) failedCtr_->add();
           ES_WARN("controller", "resolve failed for %s: %s",
                   service.uniqueName.c_str(),
                   result.error().toString().c_str());
-          if (trace_ != nullptr) {
-            trace_->endSpan(resolveSpan, sim_.now(),
-                            {{"ok", "false"},
-                             {"error", result.error().toString()}});
-          }
+          trace_.endSpan(resolveSpan, sim_.now(),
+                         {{"ok", "false"},
+                          {"error", result.error().toString()}});
           dropBuffered(key);
           return;
         }
@@ -614,20 +606,18 @@ void EdgeController::handleRegisteredService(OpenFlowSwitch& sw,
                     redirect.instance.toString().c_str());
           }
           recordResolveOutcome(service.address, service.tag, startedAt,
-                               redirect.fromMemory, redirect.degraded, rrid);
+                               redirect.fromMemory, rrid);
         }
-        if (trace_ != nullptr) {
-          trace_->endSpan(resolveSpan, sim_.now(),
-                          {{"ok", "true"},
-                           {"instance", redirect.instance.toString()},
-                           {"cluster", redirect.cluster},
-                           {"from_memory",
-                            redirect.fromMemory ? "true" : "false"},
-                           {"degraded", redirect.degraded ? "true" : "false"}});
-          trace_->instant(rrid, "flow-install", "controller", sim_.now(),
-                          {{"instance", redirect.instance.toString()},
-                           {"cluster", redirect.cluster}});
-        }
+        trace_.endSpan(resolveSpan, sim_.now(),
+                       {{"ok", "true"},
+                        {"instance", redirect.instance.toString()},
+                        {"cluster", redirect.cluster},
+                        {"from_memory",
+                         redirect.fromMemory ? "true" : "false"},
+                        {"degraded", redirect.degraded ? "true" : "false"}});
+        trace_.instant(rrid, "flow-install", "controller", sim_.now(),
+                       {{"instance", redirect.instance.toString()},
+                        {"cluster", redirect.cluster}});
         installRedirectFlows(sw, key.client, service, redirect.instance);
         releaseBuffered(sw, key, service, redirect.instance);
       },
@@ -720,7 +710,6 @@ void EdgeController::onFlowModAck(std::uint64_t cookie, std::uint64_t epoch) {
     return;
   }
   flowModsAcked_.fetch_add(1, std::memory_order_relaxed);
-  if (ctrlAckedCtr_ != nullptr) ctrlAckedCtr_->add();
   if (--it->second.outstanding > 0) return;
   it->second.deadline.cancel();
   pendingInstalls_.erase(it);
@@ -733,12 +722,9 @@ void EdgeController::onFlowModDeadline(std::uint64_t cookie) {
   // Every ack still missing is a timeout; bump the epoch immediately so a
   // late (stalled) ack of this attempt cannot also decrement the count.
   ++install.epoch;
-  ensureCtrlChannelTelemetry();
   flowModsTimedOut_.fetch_add(install.outstanding, std::memory_order_relaxed);
-  if (ctrlTimeoutCtr_ != nullptr) ctrlTimeoutCtr_->add(install.outstanding);
   if (install.attempts <= options_.flowModRetries) {
     flowModResends_.fetch_add(1, std::memory_order_relaxed);
-    if (ctrlRetriesCtr_ != nullptr) ctrlRetriesCtr_->add();
     RetryPolicy policy;
     policy.maxRetries = options_.flowModRetries;
     policy.initialBackoff = options_.retryBackoff;
@@ -748,11 +734,9 @@ void EdgeController::onFlowModDeadline(std::uint64_t cookie) {
             "%.0f ms",
             static_cast<unsigned long long>(cookie), install.attempts,
             backoff.toSeconds() * 1e3);
-    if (trace_ != nullptr) {
-      trace_->instant(0, "flowmod_retry", "controller", sim_.now(),
-                      {{"cookie", std::to_string(cookie)},
-                       {"attempt", std::to_string(install.attempts)}});
-    }
+    trace_.instant(0, "flowmod_retry", "controller", sim_.now(),
+                   {{"cookie", std::to_string(cookie)},
+                    {"attempt", std::to_string(install.attempts)}});
     install.deadline =
         sim_.schedule(backoff, [this, cookie] { sendTrackedInstall(cookie); });
     return;
@@ -766,12 +750,9 @@ void EdgeController::failOverInstall(std::uint64_t cookie) {
   const PendingInstall install = std::move(it->second);
   pendingInstalls_.erase(it);
   flowModFailovers_.fetch_add(1, std::memory_order_relaxed);
-  if (ctrlFailoversCtr_ != nullptr) ctrlFailoversCtr_->add();
-  if (trace_ != nullptr) {
-    trace_->instant(0, "flowmod_failover", "controller", sim_.now(),
-                    {{"cookie", std::to_string(cookie)},
-                     {"service", install.service.toString()}});
-  }
+  trace_.instant(0, "flowmod_failover", "controller", sim_.now(),
+                 {{"cookie", std::to_string(cookie)},
+                  {"service", install.service.toString()}});
   const auto cloudIt = cloudRedirects_.find(install.service);
   const ServiceModel* service = serviceAt(install.service);
   if (cloudIt == cloudRedirects_.end() || service == nullptr) {
@@ -801,27 +782,12 @@ void EdgeController::failOverInstall(std::uint64_t cookie) {
                    cloud.cluster, sim_.now());
   }
   degraded_.fetch_add(1, std::memory_order_relaxed);
-  if (degradedCtr_ != nullptr) degradedCtr_->add();
   std::vector<FlowEntry> entries =
       redirectEntries(*install.sw, install.client, *service, cloud.instance);
   for (FlowEntry& entry : entries) {
     entry.cookie = cookie;
     install.sw->sendFlowMod(std::move(entry));
   }
-}
-
-void EdgeController::ensureCtrlChannelTelemetry() {
-  if (telemetry_ == nullptr || ctrlTimeoutCtr_ != nullptr) return;
-  ctrlAckedCtr_ = &telemetry_->counter("edgesim_ctrl_channel_acks_total",
-                                       {{"result", "acked"}});
-  ctrlTimeoutCtr_ = &telemetry_->counter("edgesim_ctrl_channel_acks_total",
-                                         {{"result", "timeout"}});
-  ctrlRetriesCtr_ = &telemetry_->counter("edgesim_ctrl_channel_retries_total");
-  ctrlFailoversCtr_ =
-      &telemetry_->counter("edgesim_ctrl_channel_failovers_total");
-  // Seed the acked series with the acks that arrived before the first
-  // timeout registered it, so acked+timeout reconciles with the atomics.
-  ctrlAckedCtr_->add(flowModsAcked_.load(std::memory_order_relaxed));
 }
 
 std::vector<EdgeController::IntendedFlow> EdgeController::intendedFlows(
@@ -954,7 +920,6 @@ void EdgeController::finishExpiry() {
     const ServiceModel* service = serviceAt(flow.service);
     if (service == nullptr) continue;
     ++scaleDowns_;
-    if (scaleDownsCtr_ != nullptr) scaleDownsCtr_->add();
     ES_INFO("controller", "scaling down idle service %s on %s",
             service->uniqueName.c_str(), flow.cluster.c_str());
     ClusterAdapter* adapterPtr = adapter;
@@ -1033,19 +998,6 @@ Status EdgeController::predeploy(Endpoint serviceAddress,
 // deploy (a missing target instance is deployed *before* the re-steer
 // commits, with the old binding answering meanwhile).
 
-void EdgeController::ensureHandoverTelemetry() {
-  if (telemetry_ == nullptr || hoStartedCtr_ != nullptr) return;
-  hoStartedCtr_ = &telemetry_->counter("edgesim_handovers_total",
-                                       {{"outcome", "started"}});
-  hoCompletedCtr_ = &telemetry_->counter("edgesim_handovers_total",
-                                         {{"outcome", "completed"}});
-  hoAbortedCtr_ = &telemetry_->counter("edgesim_handovers_total",
-                                       {{"outcome", "aborted_to_cloud"}});
-  hoLatencyHist_ = &telemetry_->histogram("edgesim_handover_latency_seconds");
-  hoGapHist_ =
-      &telemetry_->histogram("edgesim_handover_continuity_gap_seconds");
-}
-
 void EdgeController::requestHandover(Ipv4 client, Endpoint serviceAddress,
                                      const std::string& targetCluster,
                                      HandoverCallback cb) {
@@ -1094,27 +1046,23 @@ void EdgeController::startHandover(Ipv4 client, Endpoint serviceAddress,
     return;
   }
 
-  ensureHandoverTelemetry();
   handoversStarted_.fetch_add(1, std::memory_order_relaxed);
-  if (hoStartedCtr_ != nullptr) hoStartedCtr_->add();
   ActiveHandover& ah = handovers_[key];
   ah.startedAt = sim_.now();
   ah.oldInstance = memorized->instance;
   ah.oldCluster = memorized->cluster;
   ah.targetCluster = targetCluster;
   ah.cb = std::move(cb);
-  if (trace_ != nullptr) {
-    ah.rid = trace_->newRequest();
-    trace_->instant(ah.rid, "handover-start", "mobility", sim_.now(),
-                    {{"client", client.toString()},
-                     {"service", serviceAddress.toString()},
-                     {"from", ah.oldCluster},
-                     {"to", targetCluster}});
-    ah.span = trace_->beginSpan(ah.rid, "handover", "mobility", sim_.now(),
-                                {{"service", service->uniqueName},
-                                 {"from", ah.oldCluster},
-                                 {"to", targetCluster}});
-  }
+  ah.rid = trace_.newRequest();
+  trace_.instant(ah.rid, "handover-start", "mobility", sim_.now(),
+                 {{"client", client.toString()},
+                  {"service", serviceAddress.toString()},
+                  {"from", ah.oldCluster},
+                  {"to", targetCluster}});
+  ah.span = trace_.beginSpan(ah.rid, "handover", "mobility", sim_.now(),
+                             {{"service", service->uniqueName},
+                              {"from", ah.oldCluster},
+                              {"to", targetCluster}});
 
   ClusterAdapter* target = dispatcher_->adapterByName(targetCluster);
   if (target == nullptr) {
@@ -1142,10 +1090,8 @@ void EdgeController::startHandover(Ipv4 client, Endpoint serviceAddress,
   // serving until the re-steer commits.  ensureReady brings the full
   // retry/backoff/fault machinery, so kubelet or registry faults at the
   // target surface here as a deploy failure -> degrade to cloud.
-  if (trace_ != nullptr) {
-    trace_->instant(ah.rid, "handover-deploy", "mobility", sim_.now(),
-                    {{"cluster", targetCluster}});
-  }
+  trace_.instant(ah.rid, "handover-deploy", "mobility", sim_.now(),
+                 {{"cluster", targetCluster}});
   const ServiceModel* servicePtr = service;
   dispatcher_->ensureReady(
       *service, *target,
@@ -1182,14 +1128,11 @@ void EdgeController::commitReSteer(const PendingKey& key,
     result.latency = sim_.now() - ah.startedAt;
     result.reason = "flow-expired";
     handoversAborted_.fetch_add(1, std::memory_order_relaxed);
-    if (hoAbortedCtr_ != nullptr) hoAbortedCtr_->add();
     if (hoLatencyHist_ != nullptr) {
       hoLatencyHist_->observe(result.latency.toSeconds());
     }
-    if (trace_ != nullptr) {
-      trace_->endSpan(ah.span, sim_.now(),
-                      {{"outcome", "aborted"}, {"reason", result.reason}});
-    }
+    trace_.endSpan(ah.span, sim_.now(),
+                   {{"outcome", "aborted"}, {"reason", result.reason}});
     finishHandover(key, std::move(result));
     return;
   }
@@ -1274,24 +1217,20 @@ void EdgeController::settleHandover(const PendingKey& key,
   result.reason = reason;
   if (degraded) {
     handoversAborted_.fetch_add(1, std::memory_order_relaxed);
-    if (hoAbortedCtr_ != nullptr) hoAbortedCtr_->add();
   } else {
     handoversCompleted_.fetch_add(1, std::memory_order_relaxed);
-    if (hoCompletedCtr_ != nullptr) hoCompletedCtr_->add();
   }
   if (hoLatencyHist_ != nullptr) {
     hoLatencyHist_->observe(result.latency.toSeconds());
     hoGapHist_->observe(result.continuityGap.toSeconds());
   }
-  if (trace_ != nullptr) {
-    trace_->completeSpan(ah.rid, "continuity-gap", "mobility", ah.commitAt,
-                         now, {}, ah.span);
-    trace_->endSpan(ah.span, now,
-                    {{"outcome", degraded ? "aborted_to_cloud" : "completed"},
-                     {"instance", instance.toString()},
-                     {"cluster", cluster},
-                     {"reason", reason}});
-  }
+  trace_.completeSpan(ah.rid, "continuity-gap", "mobility", ah.commitAt,
+                      now, {}, ah.span);
+  trace_.endSpan(ah.span, now,
+                 {{"outcome", degraded ? "aborted_to_cloud" : "completed"},
+                  {"instance", instance.toString()},
+                  {"cluster", cluster},
+                  {"reason", reason}});
   ES_INFO("controller", "handover %s for %s: %s -> %s (%s)",
           degraded ? "degraded" : "completed", service.uniqueName.c_str(),
           ah.oldCluster.c_str(), cluster.c_str(), reason);
@@ -1304,7 +1243,6 @@ void EdgeController::settleHandover(const PendingKey& key,
     const ServiceModel* servicePtr = serviceAt(key.service);
     if (old != nullptr && !old->isCloud() && servicePtr != nullptr) {
       ++scaleDowns_;
-      if (scaleDownsCtr_ != nullptr) scaleDownsCtr_->add();
       ES_INFO("controller", "scaling down vacated service %s on %s",
               servicePtr->uniqueName.c_str(), ah.oldCluster.c_str());
       ClusterAdapter* oldPtr = old;
@@ -1341,14 +1279,11 @@ void EdgeController::abortHandoverToCloud(const PendingKey& key,
   result.latency = sim_.now() - ah.startedAt;
   result.reason = reason;
   handoversAborted_.fetch_add(1, std::memory_order_relaxed);
-  if (hoAbortedCtr_ != nullptr) hoAbortedCtr_->add();
   if (hoLatencyHist_ != nullptr) {
     hoLatencyHist_->observe(result.latency.toSeconds());
   }
-  if (trace_ != nullptr) {
-    trace_->endSpan(ah.span, sim_.now(),
-                    {{"outcome", "aborted"}, {"reason", reason}});
-  }
+  trace_.endSpan(ah.span, sim_.now(),
+                 {{"outcome", "aborted"}, {"reason", reason}});
   finishHandover(key, std::move(result));
 }
 

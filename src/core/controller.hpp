@@ -165,16 +165,17 @@ class RuleReconciler;
 
 class EdgeController : public openflow::ControllerApp {
  public:
-  /// `telemetry` (optional) instruments the whole request path: warm/cold
-  /// resolve latency histograms, request-outcome counters, per-shard
+  /// `trace` receives the request-path spans and instants (a disabled
+  /// recorder turns them into no-ops).  `telemetry` (optional) instruments
+  /// the whole request path: warm/cold resolve latency histograms, per-shard
   /// FlowMemory series, lane queue depth/wait, and per-cluster dispatcher
-  /// phase histograms.  Handles are resolved once up front; warm-path
-  /// increments are per-thread striped relaxed atomics.
+  /// phase histograms; it also polls the outcome counts below (requests,
+  /// scale-downs, acked FlowMods, handovers) at snapshot time, so each
+  /// outcome is counted once, here.  Every series is registered up front.
   EdgeController(Simulation& sim, ControllerOptions options,
                  std::vector<ClusterAdapter*> adapters,
                  const AppProfileRegistry& profiles,
-                 metrics::Recorder* recorder = nullptr,
-                 trace::TraceRecorder* trace = nullptr,
+                 metrics::Recorder* recorder, trace::TraceRecorder& trace,
                  telemetry::MetricsRegistry* telemetry = nullptr);
   ~EdgeController() override;
 
@@ -451,9 +452,6 @@ class EdgeController : public openflow::ControllerApp {
   /// Resend budget exhausted: re-point FlowMemory (and, best-effort, the
   /// switch) at the degraded cloud redirect so the flow is never blackholed.
   void failOverInstall(std::uint64_t cookie);
-  /// Lazily register the edgesim_ctrl_channel_* series on the first ack
-  /// timeout so fault-free runs export exactly the pre-existing series set.
-  void ensureCtrlChannelTelemetry();
   // ---- handover state machine (sim thread) --------------------------------
   void startHandover(Ipv4 client, Endpoint serviceAddress,
                      const std::string& targetCluster, HandoverCallback cb);
@@ -472,9 +470,6 @@ class EdgeController : public openflow::ControllerApp {
   void abortHandoverToCloud(const PendingKey& key, const ServiceModel& service,
                             const char* reason);
   void finishHandover(const PendingKey& key, HandoverResult result);
-  /// Lazily register the edgesim_handover_* series on the first handover so
-  /// mobility-free runs export exactly the pre-mobility series set.
-  void ensureHandoverTelemetry();
   void releaseBuffered(openflow::OpenFlowSwitch& sw, const PendingKey& key,
                        const ServiceModel& service, Endpoint instance);
   void dropBuffered(const PendingKey& key);
@@ -492,10 +487,10 @@ class EdgeController : public openflow::ControllerApp {
   /// Cold-path latency histogram for the service (per-service-tag series,
   /// registered at registerService); nullptr when telemetry is off.
   telemetry::Histogram* coldHistogram(Endpoint serviceAddress) const;
-  /// Observe a completed resolve: warm/cold latency histogram, outcome
-  /// counter, and (cold) the SLO watchdog's worst-request table.
+  /// Observe a completed resolve: warm/cold latency histogram and (cold)
+  /// the SLO watchdog's worst-request table.
   void recordResolveOutcome(Endpoint serviceAddress, const std::string& tag,
-                            SimTime startedAt, bool fromMemory, bool degraded,
+                            SimTime startedAt, bool fromMemory,
                             trace::RequestId rid);
   void expireMemory();
   void finishExpiry();
@@ -507,16 +502,14 @@ class EdgeController : public openflow::ControllerApp {
   ControllerOptions options_;
   const AppProfileRegistry& profiles_;
   metrics::Recorder* recorder_;
-  trace::TraceRecorder* trace_;
+  trace::TraceRecorder& trace_;
   telemetry::MetricsRegistry* telemetry_;
   telemetry::SloWatchdog* watchdog_ = nullptr;
   // Telemetry handles, resolved once at construction (nullptr when
   // telemetry is off).  The warm path touches only striped instruments.
   telemetry::Histogram* warmHist_ = nullptr;
-  telemetry::Counter* resolvedCtr_ = nullptr;
-  telemetry::Counter* failedCtr_ = nullptr;
-  telemetry::Counter* degradedCtr_ = nullptr;
-  telemetry::Counter* scaleDownsCtr_ = nullptr;
+  telemetry::Histogram* hoLatencyHist_ = nullptr;
+  telemetry::Histogram* hoGapHist_ = nullptr;
   /// Per-service cold-resolve histograms, filled at registerService (sim
   /// thread; the cold path only runs there too).
   std::unordered_map<Endpoint, telemetry::Histogram*> coldHists_;
@@ -553,18 +546,6 @@ class EdgeController : public openflow::ControllerApp {
   /// Anti-entropy sweeper (options.reconcilePeriod > 0), started in the
   /// constructor; declared after switches_/memory_ so it tears down first.
   std::unique_ptr<RuleReconciler> reconciler_;
-  // Control-channel telemetry, registered lazily on the first ack timeout.
-  telemetry::Counter* ctrlAckedCtr_ = nullptr;
-  telemetry::Counter* ctrlTimeoutCtr_ = nullptr;
-  telemetry::Counter* ctrlRetriesCtr_ = nullptr;
-  telemetry::Counter* ctrlFailoversCtr_ = nullptr;
-  // Handover telemetry, registered lazily on the first handover (sim
-  // thread; registration is mutex-guarded but not hot-path safe).
-  telemetry::Counter* hoStartedCtr_ = nullptr;
-  telemetry::Counter* hoCompletedCtr_ = nullptr;
-  telemetry::Counter* hoAbortedCtr_ = nullptr;
-  telemetry::Histogram* hoLatencyHist_ = nullptr;
-  telemetry::Histogram* hoGapHist_ = nullptr;
   PeriodicTimer memoryScan_;
   /// (service address, cluster) -> when the service was scaled down; used
   /// to drive the Remove/Delete phases after prolonged idle.
@@ -573,7 +554,8 @@ class EdgeController : public openflow::ControllerApp {
   /// can touch controller state during teardown.
   std::unique_ptr<LaneExecutor> pool_;
   // Counters are atomics: the warm path increments them from pool workers
-  // while the simulation thread serves cold requests and expiry.
+  // while the simulation thread serves cold requests and expiry, and a
+  // telemetry snapshot may poll them from any thread.
   std::atomic<std::uint64_t> packetIns_{0};
   std::atomic<std::uint64_t> submitted_{0};
   std::atomic<std::uint64_t> shed_{0};

@@ -20,7 +20,7 @@ Dispatcher::Dispatcher(Simulation& sim, FlowMemory& memory,
                        GlobalScheduler& scheduler,
                        std::vector<ClusterAdapter*> adapters,
                        metrics::Recorder* recorder, DispatcherOptions options,
-                       trace::TraceRecorder* trace,
+                       trace::TraceRecorder& trace,
                        telemetry::MetricsRegistry* telemetry,
                        overload::OverloadGovernor* governor)
     : sim_(sim),
@@ -34,37 +34,41 @@ Dispatcher::Dispatcher(Simulation& sim, FlowMemory& memory,
       options_(options),
       localScheduler_(makeLocalScheduler(options.instancePolicy)) {
   ES_ASSERT(!adapters_.empty());
-  if (telemetry != nullptr) {
-    for (const ClusterAdapter* adapter : adapters_) {
-      const std::string name = adapter->name();
-      ClusterTelemetry& handles = clusterTelemetry_[name];
-      for (const char* phase : {"pull", "create", "scaleup-cmd", "wait"}) {
-        handles.phases[phase] = &telemetry->histogram(
-            "edgesim_deploy_phase_seconds",
-            {{"cluster", name}, {"phase", phase}});
-      }
-      handles.deployments =
-          &telemetry->counter("edgesim_deploys_total", {{"cluster", name}});
-      handles.retries = &telemetry->counter("edgesim_deploy_retries_total",
-                                            {{"cluster", name}});
-      handles.fallbacks = &telemetry->counter("edgesim_deploy_fallbacks_total",
-                                              {{"cluster", name}});
-      handles.quarantines = &telemetry->counter(
-          "edgesim_deploy_quarantines_total", {{"cluster", name}});
-      handles.decisionsFast =
-          &telemetry->counter("edgesim_scheduler_decisions_total",
-                              {{"cluster", name}, {"role", "fast"}});
-      handles.decisionsBest =
-          &telemetry->counter("edgesim_scheduler_decisions_total",
-                              {{"cluster", name}, {"role", "best"}});
+  for (const ClusterAdapter* adapter : adapters_) {
+    const std::string name = adapter->name();
+    ClusterStats& stats = clusterStats_[name];
+    if (telemetry == nullptr) continue;
+    for (const char* phase : {"pull", "create", "scaleup-cmd", "wait"}) {
+      stats.phases[phase] =
+          &telemetry->histogram("edgesim_deploy_phase_seconds",
+                                {{"cluster", name}, {"phase", phase}});
     }
+    const ClusterStats* counts = &stats;
+    const auto poll = [&](const char* series,
+                          const edgesim::telemetry::Labels& labels,
+                          std::uint64_t ClusterStats::*count) {
+      telemetry->counterFn(series, labels,
+                           [counts, count] { return counts->*count; });
+    };
+    poll("edgesim_deploys_total", {{"cluster", name}},
+         &ClusterStats::deployments);
+    poll("edgesim_deploy_retries_total", {{"cluster", name}},
+         &ClusterStats::retries);
+    poll("edgesim_deploy_fallbacks_total", {{"cluster", name}},
+         &ClusterStats::fallbacks);
+    poll("edgesim_deploy_quarantines_total", {{"cluster", name}},
+         &ClusterStats::quarantines);
+    poll("edgesim_scheduler_decisions_total",
+         {{"cluster", name}, {"role", "fast"}}, &ClusterStats::decisionsFast);
+    poll("edgesim_scheduler_decisions_total",
+         {{"cluster", name}, {"role", "best"}}, &ClusterStats::decisionsBest);
   }
 }
 
-Dispatcher::ClusterTelemetry* Dispatcher::clusterTelemetry(
-    const std::string& cluster) {
-  const auto it = clusterTelemetry_.find(cluster);
-  return it == clusterTelemetry_.end() ? nullptr : &it->second;
+std::uint64_t Dispatcher::total(std::uint64_t ClusterStats::*count) const {
+  std::uint64_t sum = 0;
+  for (const auto& [name, stats] : clusterStats_) sum += stats.*count;
+  return sum;
 }
 
 ClusterAdapter* Dispatcher::adapterByName(const std::string& name) const {
@@ -107,10 +111,8 @@ bool Dispatcher::answerFromCloud(const ServiceModel& service, Ipv4 client,
                     false};
   redirect.degraded = true;
   redirect.shed = shed;
-  if (trace_ != nullptr) {
-    trace_->instant(rid, why, "overload", sim_.now(),
-                    {{"instance", redirect.instance.toString()}});
-  }
+  trace_.instant(rid, why, "overload", sim_.now(),
+                 {{"instance", redirect.instance.toString()}});
   sim_.schedule(SimTime::zero(), [cb, redirect] { cb(redirect); });
   return true;
 }
@@ -118,11 +120,9 @@ bool Dispatcher::answerFromCloud(const ServiceModel& service, Ipv4 client,
 void Dispatcher::recordPhase(const ServiceModel& service,
                              ClusterAdapter& cluster, const char* phase,
                              SimTime duration) {
-  if (ClusterTelemetry* handles = clusterTelemetry(cluster.name())) {
-    if (const auto it = handles->phases.find(phase);
-        it != handles->phases.end()) {
-      it->second->observe(duration.toSeconds());
-    }
+  const auto& phases = stats(cluster.name()).phases;
+  if (const auto it = phases.find(phase); it != phases.end()) {
+    it->second->observe(duration.toSeconds());
   }
   if (recorder_ == nullptr) return;
   recorder_->addSample(
@@ -132,11 +132,10 @@ void Dispatcher::recordPhase(const ServiceModel& service,
 
 void Dispatcher::tracePhase(const std::string& key, const char* phase,
                             SimTime start, bool ok) {
-  if (trace_ == nullptr) return;
   const auto it = pending_.find(key);
   if (it == pending_.end()) return;
-  trace_->completeSpan(it->second.rid, phase, "deploy", start, sim_.now(),
-                       {{"ok", ok ? "true" : "false"}}, it->second.span);
+  trace_.completeSpan(it->second.rid, phase, "deploy", start, sim_.now(),
+                      {{"ok", ok ? "true" : "false"}}, it->second.span);
 }
 
 void Dispatcher::resolve(const ServiceModel& service, Ipv4 client,
@@ -157,11 +156,9 @@ void Dispatcher::resolve(const ServiceModel& service, Ipv4 client,
       for (const auto& instance : ready) {
         if (instance == memorized->instance) {
           memory_.touch(client, service.address, sim_.now());
-          if (trace_ != nullptr) {
-            trace_->instant(rid, "flow-memory-hit", "controller", sim_.now(),
-                            {{"instance", memorized->instance.toString()},
-                             {"cluster", memorized->cluster}});
-          }
+          trace_.instant(rid, "flow-memory-hit", "controller", sim_.now(),
+                         {{"instance", memorized->instance.toString()},
+                          {"cluster", memorized->cluster}});
           Redirect redirect{memorized->instance, memorized->cluster, true};
           sim_.schedule(SimTime::zero(),
                         [cb, redirect] { cb(redirect); });
@@ -171,9 +168,7 @@ void Dispatcher::resolve(const ServiceModel& service, Ipv4 client,
     }
     memory_.forgetInstance(memorized->instance);  // stale entry
   }
-  if (trace_ != nullptr) {
-    trace_->instant(rid, "flow-memory-miss", "controller", sim_.now());
-  }
+  trace_.instant(rid, "flow-memory-miss", "controller", sim_.now());
 
   // 2. Gather system state for the scheduler.
   ScheduleRequest request;
@@ -191,22 +186,12 @@ void Dispatcher::resolve(const ServiceModel& service, Ipv4 client,
 
   // 3. FAST / BEST decision (quarantined clusters are filtered out).
   const GlobalDecision decision = scheduler_.schedule(request, sim_.now());
-  if (decision.fast.has_value()) {
-    if (ClusterTelemetry* handles = clusterTelemetry(*decision.fast)) {
-      handles->decisionsFast->add();
-    }
-  }
-  if (decision.best.has_value()) {
-    if (ClusterTelemetry* handles = clusterTelemetry(*decision.best)) {
-      handles->decisionsBest->add();
-    }
-  }
-  if (trace_ != nullptr) {
-    trace_->completeSpan(
-        rid, "schedule", "scheduler", sim_.now(), sim_.now(),
-        {{"fast", decision.fast.value_or("<none>")},
-         {"best", decision.best.value_or("<none>")}});
-  }
+  if (decision.fast.has_value()) ++stats(*decision.fast).decisionsFast;
+  if (decision.best.has_value()) ++stats(*decision.best).decisionsBest;
+  trace_.completeSpan(
+      rid, "schedule", "scheduler", sim_.now(), sim_.now(),
+      {{"fast", decision.fast.value_or("<none>")},
+       {"best", decision.best.value_or("<none>")}});
 
   // 4. Background deployment for BEST ("without waiting", fig. 3).
   if (decision.deploysWithoutWaiting()) {
@@ -214,10 +199,8 @@ void Dispatcher::resolve(const ServiceModel& service, Ipv4 client,
       ++background_;
       ES_DEBUG("dispatcher", "background deployment of %s on %s",
                service.uniqueName.c_str(), best->name().c_str());
-      if (trace_ != nullptr) {
-        trace_->instant(rid, "background-deploy", "scheduler", sim_.now(),
-                        {{"cluster", best->name()}});
-      }
+      trace_.instant(rid, "background-deploy", "scheduler", sim_.now(),
+                     {{"cluster", best->name()}});
       const Endpoint serviceAddress = service.address;
       const std::string clusterName = best->name();
       ensureReady(service, *best,
@@ -258,12 +241,10 @@ void Dispatcher::resolve(const ServiceModel& service, Ipv4 client,
     // Local Scheduler choice within the cluster (fig. 6).
     const Redirect redirect{localScheduler_->pick(ready, client),
                             fast->name(), false};
-    if (trace_ != nullptr) {
-      trace_->instant(rid, "local-schedule", "scheduler", sim_.now(),
-                      {{"instance", redirect.instance.toString()},
-                       {"cluster", redirect.cluster},
-                       {"policy", options_.instancePolicy}});
-    }
+    trace_.instant(rid, "local-schedule", "scheduler", sim_.now(),
+                   {{"instance", redirect.instance.toString()},
+                    {"cluster", redirect.cluster},
+                    {"policy", options_.instancePolicy}});
     // A ready-instance answer is success evidence for the cluster's
     // breaker (and settles a half-open probe without one ever starting).
     if (breaker != nullptr) breaker->recordSuccess(sim_.now(), 0.0);
@@ -368,24 +349,11 @@ void Dispatcher::resolve(const ServiceModel& service, Ipv4 client,
                       cloud->name() != clusterName) {
                     const auto cloudReady = cloud->readyInstances(service);
                     if (!cloudReady.empty()) {
-                      ++fallbacks_;
-                      if (ClusterTelemetry* handles =
-                              clusterTelemetry(clusterName)) {
-                        handles->fallbacks->add();
-                      }
-                      if (trace_ != nullptr) {
-                        trace_->instant(
-                            rid, "cloud-fallback", "deploy", sim_.now(),
-                            {{"failed_cluster", clusterName},
-                             {"error", result.error().toString()}});
-                      }
-                      if (recorder_ != nullptr) {
-                        recorder_->addSample("fallback", 1.0);
-                        recorder_->addSample(
-                            strprintf("%s/%s/fallback", service.tag.c_str(),
-                                      clusterName.c_str()),
-                            1.0);
-                      }
+                      ++stats(clusterName).fallbacks;
+                      trace_.instant(
+                          rid, "cloud-fallback", "deploy", sim_.now(),
+                          {{"failed_cluster", clusterName},
+                           {"error", result.error().toString()}});
                       ES_WARN("dispatcher",
                               "degrading %s to cloud after failure on %s: %s",
                               service.uniqueName.c_str(), clusterName.c_str(),
@@ -422,15 +390,13 @@ void Dispatcher::ensureReady(const ServiceModel& service,
 
   const std::string key = service.uniqueName + "@" + cluster.name();
   if (const auto it = pending_.find(key); it != pending_.end()) {
-    if (trace_ != nullptr) {
-      // Coalesced onto the in-flight deployment: the phases are traced
-      // under the initiating request's ID; this one just marks the join.
-      trace_->instant(rid, "join-deployment", "deploy", sim_.now(),
-                      {{"key", key},
-                       {"initiator",
-                        strprintf("%llu", static_cast<unsigned long long>(
-                                              it->second.rid))}});
-    }
+    // Coalesced onto the in-flight deployment: the phases are traced
+    // under the initiating request's ID; this one just marks the join.
+    trace_.instant(rid, "join-deployment", "deploy", sim_.now(),
+                   {{"key", key},
+                    {"initiator",
+                     strprintf("%llu", static_cast<unsigned long long>(
+                                           it->second.rid))}});
     it->second.waiters.push_back(std::move(cb));
     return;
   }
@@ -444,12 +410,10 @@ void Dispatcher::ensureReady(const ServiceModel& service,
   if (governor_ != nullptr && !cluster.isCloud()) {
     if (!governor_->tryAcquireDeployToken(cluster.name())) {
       governor_->noteShed(overload::ShedReason::kDeployCap);
-      if (trace_ != nullptr) {
-        trace_->instant(rid, "deploy-cap", "overload", sim_.now(),
-                        {{"cluster", cluster.name()},
-                         {"in_use", strprintf("%d", governor_->deployTokensInUse(
-                                                        cluster.name()))}});
-      }
+      trace_.instant(rid, "deploy-cap", "overload", sim_.now(),
+                     {{"cluster", cluster.name()},
+                      {"in_use", strprintf("%d", governor_->deployTokensInUse(
+                                                     cluster.name()))}});
       ES_DEBUG("dispatcher", "deploy cap reached on %s; refusing deployment",
                cluster.name().c_str());
       const std::string name = cluster.name();
@@ -468,11 +432,9 @@ void Dispatcher::ensureReady(const ServiceModel& service,
   deploy.cluster = cluster.name();
   deploy.rid = rid;
   deploy.holdsToken = holdsToken;
-  if (trace_ != nullptr) {
-    deploy.span = trace_->beginSpan(rid, "deploy", "deploy", sim_.now(),
-                                    {{"cluster", cluster.name()},
-                                     {"service", service.uniqueName}});
-  }
+  deploy.span = trace_.beginSpan(rid, "deploy", "deploy", sim_.now(),
+                                 {{"cluster", cluster.name()},
+                                  {"service", service.uniqueName}});
   const SimTime hardDeadline =
       options_.deployTimeout *
       static_cast<std::int64_t>(options_.retry.maxRetries + 1);
@@ -480,10 +442,7 @@ void Dispatcher::ensureReady(const ServiceModel& service,
     finishDeploy(key, makeError(Errc::kTimeout, "deployment timed out"));
   });
   pending_.emplace(key, std::move(deploy));
-  ++deployments_;
-  if (ClusterTelemetry* handles = clusterTelemetry(cluster.name())) {
-    handles->deployments->add();
-  }
+  ++stats(cluster.name()).deployments;
   runPhases(service, cluster, key, /*epoch=*/0);
 }
 
@@ -517,24 +476,13 @@ void Dispatcher::onPhaseFailure(const ServiceModel& service,
   }
   const SimTime delay = options_.retry.backoff(deploy.retriesUsed);
   ++deploy.retriesUsed;
-  ++retries_;
-  if (ClusterTelemetry* handles = clusterTelemetry(cluster.name())) {
-    handles->retries->add();
-  }
-  if (trace_ != nullptr) {
-    trace_->instant(deploy.rid, "retry", "deploy", sim_.now(),
-                    {{"attempt", strprintf("%d/%d", deploy.retriesUsed,
-                                           options_.retry.maxRetries)},
-                     {"cluster", cluster.name()},
-                     {"backoff_ms", strprintf("%.1f", delay.toMillis())},
-                     {"error", error.toString()}});
-  }
-  if (recorder_ != nullptr) {
-    recorder_->addSample("retry", 1.0);
-    recorder_->addSample(strprintf("%s/%s/retry", service.tag.c_str(),
-                                   cluster.name().c_str()),
-                         delay.toSeconds());
-  }
+  ++stats(cluster.name()).retries;
+  trace_.instant(deploy.rid, "retry", "deploy", sim_.now(),
+                 {{"attempt", strprintf("%d/%d", deploy.retriesUsed,
+                                        options_.retry.maxRetries)},
+                  {"cluster", cluster.name()},
+                  {"backoff_ms", strprintf("%.1f", delay.toMillis())},
+                  {"error", error.toString()}});
   ES_INFO("dispatcher", "retry %d/%d of %s on %s in %.3fs after: %s",
           deploy.retriesUsed, options_.retry.maxRetries,
           service.uniqueName.c_str(), cluster.name().c_str(), delay.toSeconds(),
@@ -704,11 +652,9 @@ void Dispatcher::finishDeploy(const std::string& key,
   const std::string cluster = it->second.cluster;
   const trace::RequestId deployRid = it->second.rid;
   const bool holdsToken = it->second.holdsToken;
-  if (trace_ != nullptr) {
-    trace_->endSpan(it->second.span, sim_.now(),
-                    {{"ok", result.ok() ? "true" : "false"},
-                     {"retries", strprintf("%d", it->second.retriesUsed)}});
-  }
+  trace_.endSpan(it->second.span, sim_.now(),
+                 {{"ok", result.ok() ? "true" : "false"},
+                  {"retries", strprintf("%d", it->second.retriesUsed)}});
   pending_.erase(it);
   if (holdsToken && governor_ != nullptr) {
     governor_->releaseDeployToken(cluster);
@@ -722,19 +668,13 @@ void Dispatcher::finishDeploy(const std::string& key,
     const bool isCloud = adapter != nullptr && adapter->isCloud();
     if (!isCloud && options_.quarantineCooldown > SimTime::zero()) {
       scheduler_.quarantine(cluster, sim_.now() + options_.quarantineCooldown);
-      ++quarantines_;
-      if (ClusterTelemetry* handles = clusterTelemetry(cluster)) {
-        handles->quarantines->add();
-      }
-      if (trace_ != nullptr) {
-        trace_->instant(deployRid, "quarantine", "deploy", sim_.now(),
-                        {{"cluster", cluster},
-                         {"cooldown_s",
-                          strprintf("%.1f",
-                                    options_.quarantineCooldown.toSeconds())},
-                         {"error", result.error().toString()}});
-      }
-      if (recorder_ != nullptr) recorder_->addSample("quarantine", 1.0);
+      ++stats(cluster).quarantines;
+      trace_.instant(deployRid, "quarantine", "deploy", sim_.now(),
+                     {{"cluster", cluster},
+                      {"cooldown_s",
+                       strprintf("%.1f",
+                                 options_.quarantineCooldown.toSeconds())},
+                      {"error", result.error().toString()}});
       ES_WARN("dispatcher", "quarantining %s for %.1fs after: %s",
               cluster.c_str(), options_.quarantineCooldown.toSeconds(),
               result.error().toString().c_str());

@@ -92,19 +92,21 @@ class Dispatcher {
   using ResolveCallback = std::function<void(Result<Redirect>)>;
   using ReadyCallback = std::function<void(Result<Endpoint>)>;
 
-  /// `telemetry` (optional) registers per-cluster phase-duration histograms
-  /// plus deployment / retry / fallback / quarantine and scheduler-decision
-  /// counters; handles are resolved once here (deployment work is sim-thread
-  /// only, but the striped instruments stay safe to read at any time).
+  /// `trace` receives the resolve / deployment spans and instants (a
+  /// disabled recorder turns them into no-ops).  `telemetry` (optional)
+  /// registers per-cluster phase-duration histograms and polls the
+  /// per-cluster deployment / retry / fallback / quarantine and
+  /// scheduler-decision counts at snapshot time.  The counts are plain
+  /// sim-thread integers: snapshot on the simulation thread or at
+  /// quiescence.
   /// `governor` (optional) adds overload protection: deadline budgets fail
   /// fast to the cloud, per-cluster deploy tokens cap concurrent
   /// deployments, circuit-breaker outcomes are fed from deployment results,
   /// and brownout forces the "without waiting" redirect behaviour.
   Dispatcher(Simulation& sim, FlowMemory& memory, GlobalScheduler& scheduler,
              std::vector<ClusterAdapter*> adapters,
-             metrics::Recorder* recorder = nullptr,
-             DispatcherOptions options = {},
-             trace::TraceRecorder* trace = nullptr,
+             metrics::Recorder* recorder, DispatcherOptions options,
+             trace::TraceRecorder& trace,
              telemetry::MetricsRegistry* telemetry = nullptr,
              overload::OverloadGovernor* governor = nullptr);
 
@@ -157,14 +159,19 @@ class Dispatcher {
 
   /// Deployments currently in flight.
   std::size_t pendingDeployments() const { return pending_.size(); }
-  std::uint64_t deploymentsTriggered() const { return deployments_; }
+  /// Deployments started, summed over clusters.
+  std::uint64_t deploymentsTriggered() const {
+    return total(&ClusterStats::deployments);
+  }
   std::uint64_t backgroundDeployments() const { return background_; }
   /// Phase retries performed across all deployments.
-  std::uint64_t retries() const { return retries_; }
+  std::uint64_t retries() const { return total(&ClusterStats::retries); }
   /// Resolves answered with a degraded cloud redirect.
-  std::uint64_t fallbacks() const { return fallbacks_; }
+  std::uint64_t fallbacks() const { return total(&ClusterStats::fallbacks); }
   /// Clusters quarantined after an exhausted retry budget.
-  std::uint64_t quarantines() const { return quarantines_; }
+  std::uint64_t quarantines() const {
+    return total(&ClusterStats::quarantines);
+  }
 
  private:
   struct PendingDeploy {
@@ -223,18 +230,24 @@ class Dispatcher {
                        const ResolveCallback& cb, bool shed,
                        trace::RequestId rid, const char* why);
 
-  /// Per-cluster telemetry handles, resolved at construction (empty map
-  /// when telemetry is off).
-  struct ClusterTelemetry {
-    std::map<std::string, telemetry::Histogram*> phases;  // by phase name
-    telemetry::Counter* deployments = nullptr;
-    telemetry::Counter* retries = nullptr;
-    telemetry::Counter* fallbacks = nullptr;
-    telemetry::Counter* quarantines = nullptr;
-    telemetry::Counter* decisionsFast = nullptr;
-    telemetry::Counter* decisionsBest = nullptr;
+  /// Per-cluster outcome counts (the only count of each; the registry
+  /// polls them) and phase histograms, one entry per adapter, created at
+  /// construction.
+  struct ClusterStats {
+    std::uint64_t deployments = 0;
+    std::uint64_t retries = 0;
+    std::uint64_t fallbacks = 0;
+    std::uint64_t quarantines = 0;
+    std::uint64_t decisionsFast = 0;
+    std::uint64_t decisionsBest = 0;
+    /// Phase-duration histograms by phase name (empty when telemetry is
+    /// off).
+    std::map<std::string, telemetry::Histogram*> phases;
   };
-  ClusterTelemetry* clusterTelemetry(const std::string& cluster);
+  ClusterStats& stats(const std::string& cluster) {
+    return clusterStats_.at(cluster);
+  }
+  std::uint64_t total(std::uint64_t ClusterStats::*count) const;
 
   Simulation& sim_;
   /// The control lane: all deployment state (pending_, adapters, the
@@ -247,19 +260,15 @@ class Dispatcher {
   GlobalScheduler& scheduler_;
   std::vector<ClusterAdapter*> adapters_;
   metrics::Recorder* recorder_;
-  trace::TraceRecorder* trace_;
+  trace::TraceRecorder& trace_;
   overload::OverloadGovernor* governor_;
   const ProximityProvider* proximity_ = nullptr;
-  std::map<std::string, ClusterTelemetry> clusterTelemetry_;
+  std::map<std::string, ClusterStats> clusterStats_;
   DispatcherOptions options_;
   std::unique_ptr<LocalScheduler> localScheduler_;
   std::map<std::string, PendingDeploy> pending_;
   BackgroundReadyListener backgroundListener_;
-  std::uint64_t deployments_ = 0;
   std::uint64_t background_ = 0;
-  std::uint64_t retries_ = 0;
-  std::uint64_t fallbacks_ = 0;
-  std::uint64_t quarantines_ = 0;
 };
 
 }  // namespace edgesim::core

@@ -14,23 +14,27 @@ using openflow::OpenFlowSwitch;
 RuleReconciler::RuleReconciler(Simulation& sim, EdgeController& controller,
                                ReconcilerOptions options,
                                telemetry::MetricsRegistry* telemetry,
-                               trace::TraceRecorder* trace)
+                               trace::TraceRecorder& trace)
     : sim_(sim), controller_(controller), options_(options), trace_(trace) {
   ES_ASSERT(options_.period > SimTime::zero());
   if (telemetry != nullptr) {
-    sweepsCtr_ = &telemetry->counter("edgesim_reconcile_sweeps_total");
-    driftMissingCtr_ = &telemetry->counter(
-        "edgesim_reconcile_drift_detected_total", {{"kind", "missing"}});
-    driftOrphanCtr_ = &telemetry->counter(
-        "edgesim_reconcile_drift_detected_total", {{"kind", "orphan"}});
-    reinstalledCtr_ =
-        &telemetry->counter("edgesim_reconcile_rules_reinstalled_total");
-    orphansDeletedCtr_ =
-        &telemetry->counter("edgesim_reconcile_orphans_deleted_total");
-    resynthCtr_ =
-        &telemetry->counter("edgesim_reconcile_flow_removed_resynth_total");
-    statsTimeoutCtr_ =
-        &telemetry->counter("edgesim_reconcile_stats_timeouts_total");
+    const auto poll = [&](const char* series,
+                          const edgesim::telemetry::Labels& labels,
+                          std::uint64_t Stats::*count) {
+      telemetry->counterFn(series, labels,
+                           [this, count] { return stats_.*count; });
+    };
+    poll("edgesim_reconcile_sweeps_total", {}, &Stats::sweeps);
+    poll("edgesim_reconcile_drift_detected_total", {{"kind", "missing"}},
+         &Stats::driftMissing);
+    poll("edgesim_reconcile_drift_detected_total", {{"kind", "orphan"}},
+         &Stats::driftOrphans);
+    poll("edgesim_reconcile_rules_reinstalled_total", {},
+         &Stats::flowsReinstalled);
+    poll("edgesim_reconcile_orphans_deleted_total", {}, &Stats::orphansDeleted);
+    poll("edgesim_reconcile_flow_removed_resynth_total", {},
+         &Stats::flowRemovedResynthesized);
+    poll("edgesim_reconcile_stats_timeouts_total", {}, &Stats::statsTimeouts);
     sweepHist_ = &telemetry->histogram("edgesim_reconcile_sweep_seconds");
   }
 }
@@ -67,12 +71,10 @@ void RuleReconciler::sweep(std::function<void()> done) {
   state->remaining = switches.size();
   state->startedAt = sim_.now();
   state->done = std::move(done);
-  if (trace_ != nullptr) {
-    state->rid = trace_->newRequest();
-    state->span = trace_->beginSpan(
-        state->rid, "reconcile_sweep", "reconcile", sim_.now(),
-        {{"switches", std::to_string(switches.size())}});
-  }
+  state->rid = trace_.newRequest();
+  state->span = trace_.beginSpan(
+      state->rid, "reconcile_sweep", "reconcile", sim_.now(),
+      {{"switches", std::to_string(switches.size())}});
   for (const auto& [sw, topo] : switches) {
     OpenFlowSwitch* swPtr = sw;
     sw->requestFlowStats(
@@ -87,7 +89,6 @@ void RuleReconciler::sweep(std::function<void()> done) {
   state->deadline = sim_.schedule(options_.sweepTimeout, [this, state] {
     if (state->finished) return;
     stats_.statsTimeouts += state->remaining;
-    if (statsTimeoutCtr_ != nullptr) statsTimeoutCtr_->add(state->remaining);
     finishSweep(state);
   });
 }
@@ -115,14 +116,12 @@ void RuleReconciler::processSwitch(OpenFlowSwitch& sw,
     if (!missing) continue;
     ++stats_.driftMissing;
     ++state.missing;
-    if (driftMissingCtr_ != nullptr) driftMissingCtr_->add();
     ES_INFO("reconciler", "re-installing lost flow %s -> %s on %s",
             flow.service.toString().c_str(), flow.instance.toString().c_str(),
             sw.name().c_str());
     if (controller_.reinstallRedirect(sw, flow.client, flow.service,
                                       flow.instance)) {
       ++stats_.flowsReinstalled;
-      if (reinstalledCtr_ != nullptr) reinstalledCtr_->add();
       // The entry vanished without the controller hearing a FlowRemoved
       // (restart or lost notification).  Resynthesize its bookkeeping
       // conservatively: refresh last-seen at sweep time, exactly what a
@@ -130,7 +129,6 @@ void RuleReconciler::processSwitch(OpenFlowSwitch& sw,
       // memorized flow is not expired early because a message died.
       controller_.flowMemory().touch(flow.client, flow.service, sim_.now());
       ++stats_.flowRemovedResynthesized;
-      if (resynthCtr_ != nullptr) resynthCtr_->add();
     }
   }
 
@@ -141,12 +139,10 @@ void RuleReconciler::processSwitch(OpenFlowSwitch& sw,
     // normal path so a notify-on-removal entry still yields its FlowRemoved.
     ++stats_.driftOrphans;
     ++state.orphans;
-    if (driftOrphanCtr_ != nullptr) driftOrphanCtr_->add();
     ES_INFO("reconciler", "deleting orphan entry %s on %s",
             entry->match.toString().c_str(), sw.name().c_str());
     sw.sendFlowRemove(entry->match, entry->cookie);
     ++stats_.orphansDeleted;
-    if (orphansDeletedCtr_ != nullptr) orphansDeletedCtr_->add();
   }
 }
 
@@ -154,15 +150,12 @@ void RuleReconciler::finishSweep(const std::shared_ptr<SweepState>& state) {
   state->finished = true;
   state->deadline.cancel();
   ++stats_.sweeps;
-  if (sweepsCtr_ != nullptr) sweepsCtr_->add();
   const SimTime elapsed = sim_.now() - state->startedAt;
   if (sweepHist_ != nullptr) sweepHist_->observe(elapsed.toSeconds());
-  if (trace_ != nullptr) {
-    trace_->endSpan(state->span, sim_.now(),
-                    {{"missing", std::to_string(state->missing)},
-                     {"orphans", std::to_string(state->orphans)},
-                     {"timed_out", std::to_string(state->remaining)}});
-  }
+  trace_.endSpan(state->span, sim_.now(),
+                 {{"missing", std::to_string(state->missing)},
+                  {"orphans", std::to_string(state->orphans)},
+                  {"timed_out", std::to_string(state->remaining)}});
   sweeping_ = false;
   if (state->done) state->done();
 }

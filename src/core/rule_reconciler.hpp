@@ -52,8 +52,9 @@ struct ReconcilerOptions {
 
 class RuleReconciler {
  public:
-  /// Plain counters mirroring the edgesim_reconcile_* series, readable
-  /// without a registry (tests, benches).
+  /// The only counts of the sweep outcomes; with telemetry the registry
+  /// polls them as the edgesim_reconcile_* series (sim thread only:
+  /// snapshot there or at quiescence).
   struct Stats {
     std::uint64_t sweeps = 0;
     std::uint64_t driftMissing = 0;    // memorized flows with lost entries
@@ -67,7 +68,7 @@ class RuleReconciler {
   RuleReconciler(Simulation& sim, EdgeController& controller,
                  ReconcilerOptions options,
                  telemetry::MetricsRegistry* telemetry,
-                 trace::TraceRecorder* trace);
+                 trace::TraceRecorder& trace);
   ~RuleReconciler();
 
   RuleReconciler(const RuleReconciler&) = delete;
@@ -110,19 +111,12 @@ class RuleReconciler {
   Simulation& sim_;
   EdgeController& controller_;
   ReconcilerOptions options_;
-  trace::TraceRecorder* trace_;
+  trace::TraceRecorder& trace_;
   PeriodicTimer timer_;
   bool sweeping_ = false;
   Stats stats_;
   // Series registered eagerly: the reconciler only exists when enabled, so
-  // fault-free default runs never see these names.
-  telemetry::Counter* sweepsCtr_ = nullptr;
-  telemetry::Counter* driftMissingCtr_ = nullptr;
-  telemetry::Counter* driftOrphanCtr_ = nullptr;
-  telemetry::Counter* reinstalledCtr_ = nullptr;
-  telemetry::Counter* orphansDeletedCtr_ = nullptr;
-  telemetry::Counter* resynthCtr_ = nullptr;
-  telemetry::Counter* statsTimeoutCtr_ = nullptr;
+  // default runs never see these names.
   telemetry::Histogram* sweepHist_ = nullptr;
 };
 

@@ -170,7 +170,7 @@ Testbed::Testbed(TestbedOptions options)
   for (const auto& adapter : adapters_) adapterPtrs.push_back(adapter.get());
   controller_ = std::make_unique<EdgeController>(
       sim_, options_.controller, adapterPtrs, catalog_.profiles(), &recorder_,
-      &trace_, options_.telemetry ? &telemetry_ : nullptr);
+      trace_, options_.telemetry ? &telemetry_ : nullptr);
   controller_->attachSwitch(*switch_, std::move(topo));
 
   // ---- telemetry export ------------------------------------------------------
@@ -188,8 +188,8 @@ Testbed::~Testbed() = default;
 
 telemetry::SloWatchdog& Testbed::watchdog() {
   if (watchdog_ == nullptr) {
-    watchdog_ = std::make_unique<telemetry::SloWatchdog>(
-        sim_, telemetry_, options_.tracing ? &trace_ : nullptr);
+    watchdog_ = std::make_unique<telemetry::SloWatchdog>(sim_, telemetry_,
+                                                         trace_);
     controller_->setSloWatchdog(watchdog_.get());
   }
   return *watchdog_;

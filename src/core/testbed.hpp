@@ -60,8 +60,13 @@ struct TestbedOptions {
   /// single-threaded sim); disable only for huge batch sweeps.
   bool tracing = true;
   /// Hot-path telemetry (src/telemetry).  The registry itself is always
-  /// owned by the testbed; this flag controls whether the controller,
-  /// dispatcher, FlowMemory and client callbacks instrument into it.
+  /// owned by the testbed.  This flag gates exactly the instruments that
+  /// cost work on the request path: the resolve / phase / handover latency
+  /// histograms, the FlowMemory per-shard series, the lane observer and the
+  /// client series.  Outcome counts (requests, deployments, retries, acked
+  /// FlowMods, handovers, switch faults) are kept by the objects that
+  /// produce them either way, and with the flag on the registry only polls
+  /// them at snapshot time.
   bool telemetry = true;
   /// Periodic snapshot export (sim-time interval); zero = no writer.  Each
   /// tick dumps `snapshot_NNNNNN.json` + `.prom` under `snapshotDir`.

@@ -53,8 +53,20 @@ void OpenFlowSwitch::setFaultPlan(fault::FaultPlan* plan) {
 
 void OpenFlowSwitch::setTelemetry(telemetry::MetricsRegistry* metrics,
                                   trace::TraceRecorder* recorder) {
-  metrics_ = metrics;
   trace_ = recorder;
+  if (metrics == nullptr) return;
+  metrics->counterFn("edgesim_switch_restarts_total", {{"switch", name()}},
+                     [this] { return restarts_; });
+  metrics->counterFn("edgesim_switch_buffer_evictions_total",
+                     {{"switch", name()}}, [this] { return bufferEvictions_; });
+  for (const Direction direction :
+       {Direction::kToSwitch, Direction::kToController}) {
+    const auto index = static_cast<std::size_t>(direction);
+    const char* side = direction == Direction::kToSwitch ? "c2s" : "s2c";
+    metrics->counterFn("edgesim_ctrl_channel_dropped_total",
+                       {{"switch", name()}, {"direction", side}},
+                       [this, index] { return controlDrops_[index]; });
+  }
 }
 
 void OpenFlowSwitch::beginRestart(SimTime restoreDelay) {
@@ -67,11 +79,6 @@ void OpenFlowSwitch::beginRestart(SimTime restoreDelay) {
   table_.clear();
   buffers_.clear();
   bufferOrder_.clear();
-  if (metrics_ != nullptr && restartCounter_ == nullptr) {
-    restartCounter_ = &metrics_->counter("edgesim_switch_restarts_total",
-                                         {{"switch", name()}});
-  }
-  if (restartCounter_ != nullptr) restartCounter_->add(1);
   if (trace_ != nullptr) {
     trace_->instant(0, "switch_restart", "ofswitch", network().sim().now(),
                     {{"switch", name()}});
@@ -83,18 +90,7 @@ void OpenFlowSwitch::beginRestart(SimTime restoreDelay) {
 }
 
 void OpenFlowSwitch::countControlDrop(Direction direction) {
-  ++controlDrops_;
-  telemetry::Counter** slot = direction == Direction::kToSwitch
-                                  ? &dropC2sCounter_
-                                  : &dropS2cCounter_;
-  if (metrics_ != nullptr && *slot == nullptr) {
-    *slot = &metrics_->counter(
-        "edgesim_ctrl_channel_dropped_total",
-        {{"switch", name()},
-         {"direction",
-          direction == Direction::kToSwitch ? "c2s" : "s2c"}});
-  }
-  if (*slot != nullptr) (*slot)->add(1);
+  ++controlDrops_[static_cast<std::size_t>(direction)];
 }
 
 std::optional<SimTime> OpenFlowSwitch::controlDelay(Direction direction) {
@@ -153,11 +149,6 @@ void OpenFlowSwitch::execute(const Packet& packet, PortId inPort,
 
 void OpenFlowSwitch::countEviction(const Packet& packet) {
   ++bufferEvictions_;
-  if (metrics_ != nullptr && evictionCounter_ == nullptr) {
-    evictionCounter_ = &metrics_->counter(
-        "edgesim_switch_buffer_evictions_total", {{"switch", name()}});
-  }
-  if (evictionCounter_ != nullptr) evictionCounter_->add(1);
   if (trace_ != nullptr) {
     trace_->instant(0, "buffer_evict", "ofswitch", network().sim().now(),
                     {{"switch", name()}, {"packet", packet.summary()}});

@@ -33,7 +33,6 @@
 
 namespace edgesim::telemetry {
 class MetricsRegistry;
-class Counter;
 }  // namespace edgesim::telemetry
 namespace edgesim::trace {
 class TraceRecorder;
@@ -87,8 +86,9 @@ class OpenFlowSwitch : public NetNode {
   /// their at/duration scripts.  Call before the simulation runs.
   void setFaultPlan(fault::FaultPlan* plan);
 
-  /// Optional observability sinks; series register lazily on first use so
-  /// fault-free runs keep their telemetry snapshots byte-stable.
+  /// Optional observability sinks.  `metrics` polls the restart, buffer
+  /// eviction and per-direction control-drop counts at snapshot time (sim
+  /// thread only: snapshot there or at quiescence).
   void setTelemetry(telemetry::MetricsRegistry* metrics,
                     trace::TraceRecorder* recorder);
 
@@ -130,7 +130,9 @@ class OpenFlowSwitch : public NetNode {
   std::uint64_t bufferEvictions() const { return bufferEvictions_; }
   /// Control messages dropped by loss/outage/restart faults, both
   /// directions combined.
-  std::uint64_t controlDrops() const { return controlDrops_; }
+  std::uint64_t controlDrops() const {
+    return controlDrops_[0] + controlDrops_[1];
+  }
   std::uint64_t restartCount() const { return restarts_; }
   /// False inside a scripted kControlChannelOutage window.
   bool channelUp() const { return outageDepth_ == 0; }
@@ -153,7 +155,6 @@ class OpenFlowSwitch : public NetNode {
   FlowTable table_;
   ControllerApp* controller_ = nullptr;
   fault::FaultPlan* plan_ = nullptr;
-  telemetry::MetricsRegistry* metrics_ = nullptr;
   trace::TraceRecorder* trace_ = nullptr;
   std::unordered_map<BufferId, std::pair<Packet, PortId>> buffers_;
   std::deque<BufferId> bufferOrder_;  // FIFO eviction
@@ -163,15 +164,10 @@ class OpenFlowSwitch : public NetNode {
   std::uint64_t tableMisses_ = 0;
   std::uint64_t matched_ = 0;
   std::uint64_t bufferEvictions_ = 0;
-  std::uint64_t controlDrops_ = 0;
+  std::uint64_t controlDrops_[2] = {};  // indexed by Direction
   std::uint64_t restarts_ = 0;
   int outageDepth_ = 0;
   bool rebooting_ = false;
-  // Lazily-registered series (see setTelemetry).
-  telemetry::Counter* evictionCounter_ = nullptr;
-  telemetry::Counter* restartCounter_ = nullptr;
-  telemetry::Counter* dropC2sCounter_ = nullptr;
-  telemetry::Counter* dropS2cCounter_ = nullptr;
 };
 
 }  // namespace edgesim::openflow

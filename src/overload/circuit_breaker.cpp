@@ -27,15 +27,17 @@ CircuitBreaker::CircuitBreaker(std::string cluster, BreakerOptions options,
   if (telemetry != nullptr) {
     stateGauge_ = &telemetry->gauge("edgesim_breaker_state",
                                     {{"cluster", cluster_}});
-    toOpen_ = &telemetry->counter("edgesim_breaker_transitions_total",
-                                  {{"cluster", cluster_}, {"to", "open"}});
+    telemetry->counterFn("edgesim_breaker_transitions_total",
+                         {{"cluster", cluster_}, {"to", "open"}},
+                         [this] { return timesOpened_; });
     toHalfOpen_ = &telemetry->counter(
         "edgesim_breaker_transitions_total",
         {{"cluster", cluster_}, {"to", "half-open"}});
     toClosed_ = &telemetry->counter("edgesim_breaker_transitions_total",
                                     {{"cluster", cluster_}, {"to", "closed"}});
-    shortCircuitCtr_ = &telemetry->counter(
-        "edgesim_breaker_short_circuits_total", {{"cluster", cluster_}});
+    telemetry->counterFn("edgesim_breaker_short_circuits_total",
+                         {{"cluster", cluster_}},
+                         [this] { return shortCircuits_; });
     latencyHist_ = &telemetry->histogram("edgesim_breaker_latency_seconds",
                                          {{"cluster", cluster_}});
   }
@@ -81,7 +83,6 @@ void CircuitBreaker::transition(BreakerState to, SimTime now) {
       ++timesOpened_;
       probesInFlight_ = 0;
       probeSuccesses_ = 0;
-      if (toOpen_ != nullptr) toOpen_->add();
       ES_WARN("breaker", "%s: OPEN at t=%.3fs (cooldown %.1fs)",
               cluster_.c_str(), now.toSeconds(),
               options_.openCooldown.toSeconds());
@@ -116,12 +117,10 @@ bool CircuitBreaker::allow(SimTime now) {
       return true;
     case BreakerState::kOpen:
       ++shortCircuits_;
-      if (shortCircuitCtr_ != nullptr) shortCircuitCtr_->add();
       return false;
     case BreakerState::kHalfOpen:
       if (probesInFlight_ < options_.halfOpenProbes) return true;
       ++shortCircuits_;
-      if (shortCircuitCtr_ != nullptr) shortCircuitCtr_->add();
       return false;
   }
   return true;

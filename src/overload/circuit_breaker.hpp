@@ -122,15 +122,15 @@ class CircuitBreaker {
   int probeSuccesses_ = 0;
 
   std::vector<Slice> slices_;  // ring keyed by sliceIndex % slices
+  // The only counts of these outcomes; with telemetry the registry polls
+  // them (sim thread only: snapshot there or at quiescence).
   std::uint64_t shortCircuits_ = 0;
   std::uint64_t timesOpened_ = 0;
 
   // Telemetry handles (null when telemetry is off).
   telemetry::Gauge* stateGauge_ = nullptr;
-  telemetry::Counter* toOpen_ = nullptr;
   telemetry::Counter* toHalfOpen_ = nullptr;
   telemetry::Counter* toClosed_ = nullptr;
-  telemetry::Counter* shortCircuitCtr_ = nullptr;
   telemetry::Histogram* latencyHist_ = nullptr;
 };
 

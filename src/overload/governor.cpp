@@ -62,13 +62,14 @@ OverloadGovernor::OverloadGovernor(OverloadOptions options,
     : options_(std::move(options)), telemetry_(telemetry) {
   if (telemetry_ != nullptr) {
     for (std::size_t i = 0; i < kShedReasonCount; ++i) {
-      shedCtr_[i] = &telemetry_->counter(
-          "edgesim_shed_total",
-          {{"reason", shedReasonName(static_cast<ShedReason>(i))}});
+      const auto reason = static_cast<ShedReason>(i);
+      telemetry_->counterFn("edgesim_shed_total",
+                            {{"reason", shedReasonName(reason)}}, shed_[i]);
     }
     brownoutGauge_ = &telemetry_->gauge("edgesim_brownout_active");
-    brownoutEnterCtr_ = &telemetry_->counter(
-        "edgesim_brownout_transitions_total", {{"to", "active"}});
+    telemetry_->counterFn("edgesim_brownout_transitions_total",
+                          {{"to", "active"}},
+                          [this] { return brownoutEntries_; });
     brownoutExitCtr_ = &telemetry_->counter(
         "edgesim_brownout_transitions_total", {{"to", "inactive"}});
     brownoutRedirects_ =
@@ -80,7 +81,6 @@ OverloadGovernor::OverloadGovernor(OverloadOptions options,
 void OverloadGovernor::noteShed(ShedReason reason) {
   const auto index = static_cast<std::size_t>(reason);
   shed_[index].fetch_add(1, std::memory_order_relaxed);
-  if (shedCtr_[index] != nullptr) shedCtr_[index]->add();
 }
 
 std::uint64_t OverloadGovernor::shedCount() const {
@@ -147,7 +147,6 @@ bool OverloadGovernor::brownoutActive(SimTime now) {
     brownout_ = true;
     ++brownoutEntries_;
     if (brownoutGauge_ != nullptr) brownoutGauge_->set(1);
-    if (brownoutEnterCtr_ != nullptr) brownoutEnterCtr_->add();
     ES_WARN("overload", "BROWNOUT at t=%.3fs: %llu sheds within %.2fs "
             "(threshold %llu); forcing without-waiting redirects",
             now.toSeconds(), static_cast<unsigned long long>(inWindow),

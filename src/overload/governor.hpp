@@ -97,7 +97,8 @@ struct OverloadOptions {
 class OverloadGovernor {
  public:
   /// `telemetry` (optional) exports shed / brownout / breaker series;
-  /// handles resolve once here so noteShed() stays hot-path safe.
+  /// handles resolve once here so noteShed() stays hot-path safe, and the
+  /// shed and brownout-entry counts are polled at snapshot time.
   OverloadGovernor(OverloadOptions options,
                    telemetry::MetricsRegistry* telemetry = nullptr);
 
@@ -142,7 +143,6 @@ class OverloadGovernor {
   telemetry::MetricsRegistry* telemetry_;
 
   std::atomic<std::uint64_t> shed_[kShedReasonCount] = {};
-  telemetry::Counter* shedCtr_[kShedReasonCount] = {};
 
   std::map<std::string, std::unique_ptr<CircuitBreaker>> breakers_;
   std::map<std::string, int> deployTokens_;
@@ -155,7 +155,6 @@ class OverloadGovernor {
   SimTime brownoutLastOver_;
   std::uint64_t brownoutEntries_ = 0;
   telemetry::Gauge* brownoutGauge_ = nullptr;
-  telemetry::Counter* brownoutEnterCtr_ = nullptr;
   telemetry::Counter* brownoutExitCtr_ = nullptr;
   telemetry::Counter* brownoutRedirects_ = nullptr;
 

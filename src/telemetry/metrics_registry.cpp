@@ -148,7 +148,25 @@ Histogram& MetricsRegistry::histogram(const std::string& name,
 void MetricsRegistry::gaugeFn(const std::string& name, const Labels& labels,
                               std::function<double()> fn) {
   std::lock_guard<std::mutex> lock(mutex_);
-  gaugeFns_[seriesKey(name, labels)] = {name, labels, std::move(fn)};
+  polled_[seriesKey(name, labels)] = {name, labels, std::move(fn), nullptr};
+}
+
+void MetricsRegistry::counterFn(const std::string& name, const Labels& labels,
+                                std::function<std::uint64_t()> fn) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  polled_[seriesKey(name, labels)] = {name, labels, nullptr, std::move(fn)};
+}
+
+std::uint64_t MetricsRegistry::counterValue(const std::string& name,
+                                            const Labels& labels) const {
+  const std::string key = seriesKey(name, labels);
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (const auto it = polled_.find(key);
+      it != polled_.end() && it->second.counter) {
+    return it->second.counter();
+  }
+  const auto it = counters_.find(key);
+  return it == counters_.end() ? 0 : it->second.metric->value();
 }
 
 TelemetrySnapshot MetricsRegistry::snapshot(double simTimeSeconds) const {
@@ -157,20 +175,27 @@ TelemetrySnapshot MetricsRegistry::snapshot(double simTimeSeconds) const {
   snap.sequence = nextSequence_.fetch_add(1, std::memory_order_relaxed);
   snap.simTimeSeconds = simTimeSeconds;
 
-  snap.counters.reserve(counters_.size());
+  // Stored and polled series share one namespace per type; merge them in
+  // key order.
+  std::map<std::string, SnapshotCounter> counters;
   for (const auto& [key, series] : counters_) {
-    snap.counters.push_back({series.name, series.labels,
-                             series.metric->value()});
+    counters[key] = {series.name, series.labels, series.metric->value()};
   }
-
-  // Stored and polled gauges share the namespace; merge them in key order.
   std::map<std::string, SnapshotGauge> gauges;
   for (const auto& [key, series] : gauges_) {
     gauges[key] = {series.name, series.labels,
                    static_cast<double>(series.metric->value())};
   }
-  for (const auto& [key, series] : gaugeFns_) {
-    gauges[key] = {series.name, series.labels, series.fn()};
+  for (const auto& [key, series] : polled_) {
+    if (series.counter) {
+      counters[key] = {series.name, series.labels, series.counter()};
+    } else {
+      gauges[key] = {series.name, series.labels, series.gauge()};
+    }
+  }
+  snap.counters.reserve(counters.size());
+  for (auto& [key, counter] : counters) {
+    snap.counters.push_back(std::move(counter));
   }
   snap.gauges.reserve(gauges.size());
   for (auto& [key, gauge] : gauges) snap.gauges.push_back(std::move(gauge));

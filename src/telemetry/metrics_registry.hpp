@@ -198,6 +198,27 @@ class MetricsRegistry {
   /// same series replaces the callback.
   void gaugeFn(const std::string& name, const Labels& labels,
                std::function<double()> fn);
+  /// Polled counter, the counter version of gaugeFn: the object that
+  /// produces an outcome keeps the only count of it and the registry reads
+  /// that count at snapshot time, exported with counter type.  `fn` must
+  /// stay callable for as long as the registry is snapshotted, and must be
+  /// safe to call on the snapshotting thread.  Re-registering the same
+  /// series replaces the callback; a polled series shadows a stored counter
+  /// with the same name and labels.
+  void counterFn(const std::string& name, const Labels& labels,
+                 std::function<std::uint64_t()> fn);
+  /// counterFn over a count kept in a relaxed atomic.
+  void counterFn(const std::string& name, const Labels& labels,
+                 const std::atomic<std::uint64_t>& count) {
+    counterFn(name, labels,
+              [&count] { return count.load(std::memory_order_relaxed); });
+  }
+  void counterFn(const std::string& name, const Labels& labels,
+                 const std::atomic<std::uint64_t>&& count) = delete;
+  /// Current value of a counter series, stored or polled; 0 when absent.
+  /// Never creates a series.
+  std::uint64_t counterValue(const std::string& name,
+                             const Labels& labels = {}) const;
 
   /// Merged point-in-time view, series sorted by (name, labels).  Bumps
   /// the snapshot sequence number.  Safe to call while writers run (values
@@ -211,10 +232,12 @@ class MetricsRegistry {
     Labels labels;
     std::unique_ptr<Metric> metric;
   };
+  /// A polled series: exactly one of `gauge` / `counter` is set.
   struct FnSeries {
     std::string name;
     Labels labels;
-    std::function<double()> fn;
+    std::function<double()> gauge;
+    std::function<std::uint64_t()> counter;
   };
 
   static std::string seriesKey(const std::string& name, const Labels& labels);
@@ -223,7 +246,7 @@ class MetricsRegistry {
   mutable std::atomic<std::uint64_t> nextSequence_{0};
   std::map<std::string, Series<Counter>> counters_;
   std::map<std::string, Series<Gauge>> gauges_;
-  std::map<std::string, FnSeries> gaugeFns_;
+  std::map<std::string, FnSeries> polled_;
   std::map<std::string, Series<Histogram>> histograms_;
 };
 

@@ -33,7 +33,7 @@ JsonValue SloBreach::toJson() const {
 }
 
 SloWatchdog::SloWatchdog(Simulation& sim, MetricsRegistry& registry,
-                         trace::TraceRecorder* trace)
+                         trace::TraceRecorder& trace)
     : sim_(sim), registry_(registry), trace_(trace) {}
 
 void SloWatchdog::addBudget(SloBudget budget) {
@@ -85,9 +85,9 @@ std::size_t SloWatchdog::evaluate() {
 
     if (!budget.errorCounter.empty() && budget.maxErrorRatio >= 0.0) {
       const std::uint64_t errors =
-          registry_.counter(budget.errorCounter, budget.errorLabels).value();
+          registry_.counterValue(budget.errorCounter, budget.errorLabels);
       const std::uint64_t total =
-          registry_.counter(budget.totalCounter, budget.totalLabels).value();
+          registry_.counterValue(budget.totalCounter, budget.totalLabels);
       const std::uint64_t errorDelta = errors - state.lastErrors;
       const std::uint64_t totalDelta = total - state.lastTotal;
       state.lastErrors = errors;
@@ -131,22 +131,20 @@ void SloWatchdog::recordBreach(BudgetState& state, const std::string& kind,
       breach.worstSeconds = it->second.seconds;
     }
   }
-  if (trace_ != nullptr && breach.worstRequest != 0) {
-    for (const trace::TraceSpan& span : trace_->spans()) {
+  if (breach.worstRequest != 0) {
+    for (const trace::TraceSpan& span : trace_.spans()) {
       if (span.request == breach.worstRequest) {
         breach.worstSpans.push_back(span);
       }
     }
   }
-  if (trace_ != nullptr) {
-    trace_->instant(
-        breach.worstRequest, "slo-breach", "telemetry", sim_.now(),
-        {{"budget", budget.name},
-         {"kind", kind},
-         {"observed", strprintf("%.6g", observed)},
-         {"budget_value", strprintf("%.6g", budgetValue)},
-         {"window_samples", std::to_string(windowSamples)}});
-  }
+  trace_.instant(
+      breach.worstRequest, "slo-breach", "telemetry", sim_.now(),
+      {{"budget", budget.name},
+       {"kind", kind},
+       {"observed", strprintf("%.6g", observed)},
+       {"budget_value", strprintf("%.6g", budgetValue)},
+       {"window_samples", std::to_string(windowSamples)}});
   if (state.breachCounter == nullptr) {
     state.breachCounter = &registry_.counter("edgesim_slo_breaches_total",
                                              {{"budget", budget.name}});

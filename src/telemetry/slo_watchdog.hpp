@@ -79,8 +79,10 @@ struct SloBreach {
 
 class SloWatchdog {
  public:
+  /// `trace` supplies the worst request's spans for a breach and receives
+  /// the "slo-breach" instant (a disabled recorder turns both off).
   SloWatchdog(Simulation& sim, MetricsRegistry& registry,
-              trace::TraceRecorder* trace = nullptr);
+              trace::TraceRecorder& trace);
 
   SloWatchdog(const SloWatchdog&) = delete;
   SloWatchdog& operator=(const SloWatchdog&) = delete;
@@ -124,7 +126,7 @@ class SloWatchdog {
 
   Simulation& sim_;
   MetricsRegistry& registry_;
-  trace::TraceRecorder* trace_;
+  trace::TraceRecorder& trace_;
   PeriodicTimer timer_;
   std::vector<BudgetState> budgets_;
   std::vector<SloBreach> breaches_;

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 
 #include "core/testbed.hpp"
@@ -38,10 +39,14 @@ struct ScenarioResult {
 
 /// One fixed controller lifecycle: two services, cold deploys, coalesced
 /// joiners, warm repeats, idle expiry driving a scale-down, and a
-/// re-deployment after the memory forgot the clients.
+/// re-deployment after the memory forgot the clients.  `instrumented`
+/// drives TestbedOptions::tracing and ::telemetry together; `inspect`
+/// (optional) sees the testbed once the run is over.
 inline ScenarioResult runScenario(
     std::uint64_t seed, std::size_t flowShards,
-    DomainPartition partition = DomainPartition::kSingle) {
+    DomainPartition partition = DomainPartition::kSingle,
+    bool instrumented = true,
+    const std::function<void(Testbed&)>& inspect = nullptr) {
   using namespace timeliterals;
   TestbedOptions options;
   options.seed = seed;
@@ -51,6 +56,8 @@ inline ScenarioResult runScenario(
   options.controller.memoryIdleTimeout = 3_s;
   options.controller.memoryScanPeriod = 500_ms;
   options.controller.flowShards = flowShards;
+  options.tracing = instrumented;
+  options.telemetry = instrumented;
   Testbed bed(options);
 
   bed.warmImageCache("nginx");
@@ -80,6 +87,7 @@ inline ScenarioResult runScenario(
     bed.requestCatalog(4, "nginx", kScenarioNginxAddr, "nginx/recold");
   });
   sim.runUntil(40_s);
+  if (inspect) inspect(bed);
 
   ScenarioResult result;
   result.traceJson = bed.trace().chromeTraceJson(2);
@@ -104,6 +112,14 @@ inline ScenarioResult runScenario(
                                  bed.recorder().series(name)->count(), ok);
   }
   return result;
+}
+
+/// The counters line of a golden written from ScenarioResult::combined():
+/// everything after the last "---" separator.
+inline std::string goldenCounters(const std::string& golden) {
+  const std::size_t separator = golden.rfind("---\n");
+  return separator == std::string::npos ? std::string()
+                                        : golden.substr(separator + 4);
 }
 
 inline std::string goldenPath(std::uint64_t seed) {

@@ -152,6 +152,77 @@ TEST_P(DeterminismGolden, ShardedSingleThreadKeepsOutcomes) {
   EXPECT_EQ(flat.counters, sharded.counters);
 }
 
+TEST_P(DeterminismGolden, UninstrumentedRunKeepsGoldenCounters) {
+  // With tracing and telemetry off there is no registry to count into: the
+  // controller, dispatcher and switch keep every outcome count themselves,
+  // so the accessors must still read the golden's numbers.
+  const std::uint64_t seed = GetParam();
+  const auto result = runScenario(seed, /*flowShards=*/1,
+                                  DomainPartition::kSingle,
+                                  /*instrumented=*/false);
+  const std::string counters = goldenCounters(readFile(goldenPath(seed)));
+  ASSERT_FALSE(counters.empty()) << "missing golden " << goldenPath(seed);
+  EXPECT_EQ(result.counters, counters);
+}
+
+TEST_P(DeterminismGolden, PolledSeriesEqualTheirAccessors) {
+  // Each outcome has one count, kept by the object that produces it; the
+  // registry polls it.  The exported series must read exactly what the
+  // accessor reads.
+  const auto expectPolledEqualsAccessors = [](Testbed& bed) {
+    const auto snap = bed.telemetry().snapshot(bed.sim().now().toSeconds());
+    const EdgeController& c = bed.controller();
+    const auto outcome = [&snap](const char* value) {
+      return snap.counterValue("edgesim_requests_total", {{"outcome", value}});
+    };
+    EXPECT_GT(c.requestsResolved(), 0u);
+    EXPECT_EQ(outcome("resolved"), c.requestsResolved());
+    EXPECT_EQ(outcome("failed"), c.requestsFailed());
+    EXPECT_EQ(outcome("degraded"), c.requestsDegraded());
+    EXPECT_GT(c.scaleDowns(), 0u);
+    EXPECT_EQ(snap.counterValue("edgesim_scale_downs_total"), c.scaleDowns());
+
+    const auto acks = [&snap](const char* result) {
+      return snap.counterValue("edgesim_ctrl_channel_acks_total",
+                               {{"result", result}});
+    };
+    EXPECT_GT(c.flowModsAcked(), 0u);
+    EXPECT_EQ(acks("acked"), c.flowModsAcked());
+    EXPECT_EQ(acks("timeout"), c.flowModsTimedOut());
+    EXPECT_EQ(snap.counterValue("edgesim_ctrl_channel_retries_total"),
+              c.flowModResends());
+    EXPECT_EQ(snap.counterValue("edgesim_ctrl_channel_failovers_total"),
+              c.flowModFailovers());
+    const auto handovers = [&snap](const char* value) {
+      return snap.counterValue("edgesim_handovers_total", {{"outcome", value}});
+    };
+    EXPECT_EQ(handovers("started"), c.handoversStarted());
+    EXPECT_EQ(handovers("completed"), c.handoversCompleted());
+    EXPECT_EQ(handovers("aborted_to_cloud"), c.handoversAbortedToCloud());
+
+    Dispatcher& d = bed.controller().dispatcher();
+    EXPECT_GT(d.deploymentsTriggered(), 0u);
+    EXPECT_EQ(snap.counterTotal("edgesim_deploys_total"),
+              d.deploymentsTriggered());
+    EXPECT_EQ(snap.counterTotal("edgesim_deploy_retries_total"), d.retries());
+    EXPECT_EQ(snap.counterTotal("edgesim_deploy_fallbacks_total"),
+              d.fallbacks());
+    EXPECT_EQ(snap.counterTotal("edgesim_deploy_quarantines_total"),
+              d.quarantines());
+
+    openflow::OpenFlowSwitch& ovs = bed.ovs();
+    const telemetry::Labels sw = {{"switch", ovs.name()}};
+    EXPECT_EQ(snap.counterValue("edgesim_switch_restarts_total", sw),
+              ovs.restartCount());
+    EXPECT_EQ(snap.counterValue("edgesim_switch_buffer_evictions_total", sw),
+              ovs.bufferEvictions());
+    EXPECT_EQ(snap.counterTotal("edgesim_ctrl_channel_dropped_total"),
+              ovs.controlDrops());
+  };
+  runScenario(GetParam(), /*flowShards=*/1, DomainPartition::kSingle,
+              /*instrumented=*/true, expectPolledEqualsAccessors);
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, DeterminismGolden, ::testing::Values(1u, 7u));
 
 // Mobility keeps determinism: with the handover manager driving re-steers,

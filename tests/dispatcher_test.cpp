@@ -143,7 +143,8 @@ class DispatcherFixture : public ::testing::Test {
     scheduler_ = std::move(scheduler);
     dispatcher_ = std::make_unique<Dispatcher>(
         sim_, memory_, *scheduler_,
-        std::vector<ClusterAdapter*>{&near_, &far_, &cloud_}, &recorder_);
+        std::vector<ClusterAdapter*>{&near_, &far_, &cloud_}, &recorder_,
+        DispatcherOptions{}, trace_);
   }
 
   Simulation sim_;
@@ -152,6 +153,7 @@ class DispatcherFixture : public ::testing::Test {
   MockAdapter far_;
   MockAdapter cloud_;
   metrics::Recorder recorder_;
+  trace::TraceRecorder trace_;
   ServiceModel model_;
   std::unique_ptr<GlobalScheduler> scheduler_;
   std::unique_ptr<Dispatcher> dispatcher_;
@@ -305,7 +307,7 @@ TEST_F(DispatcherFixture, PullFailurePropagates) {
   dispatcher_ = std::make_unique<Dispatcher>(
       sim_, memory_, *scheduler_,
       std::vector<ClusterAdapter*>{&near_, &far_, &cloud_}, &recorder_,
-      options);
+      options, trace_);
   near_.failPull = true;
   far_.failPull = true;
   std::optional<Result<Redirect>> got;
@@ -328,7 +330,7 @@ TEST_F(DispatcherFixture, DeploymentTimeoutFiresWhenNeverReady) {
   dispatcher_ = std::make_unique<Dispatcher>(
       sim_, memory_, *scheduler_,
       std::vector<ClusterAdapter*>{&near_, &far_, &cloud_}, &recorder_,
-      options);
+      options, trace_);
   near_.imageCached = true;
   near_.created = true;
   near_.neverReady = true;  // scale-up succeeds; port never opens

@@ -529,9 +529,10 @@ TEST(Integration, HierarchicalTwoSwitchTopology) {
   CloudAdapter cloudAdapter(sim, "cloud", 100, cloudHost, catalog.profiles());
 
   ControllerOptions controllerOptions;
+  trace::TraceRecorder trace;
   EdgeController controller(sim, controllerOptions,
                             {&dockerAdapter, &cloudAdapter},
-                            catalog.profiles());
+                            catalog.profiles(), nullptr, trace);
   ASSERT_TRUE(controller
                   .registerService(catalog.entry("nginx").yaml, kNginxAddr,
                                    "nginx")

@@ -665,6 +665,14 @@ TEST(OverloadEndToEnd, BreakerOpensUnderInjectedFaultsAndRoutesAround) {
   EXPECT_EQ(breaker.state(bed.sim().now()), BreakerState::kOpen);
   EXPECT_GE(breaker.timesOpened(), 1u);
   EXPECT_GE(breaker.shortCircuits(), 1u);
+  // The registry polls the breaker's own counts.
+  const auto snap = bed.telemetry().snapshot(bed.sim().now().toSeconds());
+  EXPECT_EQ(snap.counterValue("edgesim_breaker_transitions_total",
+                              {{"cluster", "docker-egs"}, {"to", "open"}}),
+            breaker.timesOpened());
+  EXPECT_EQ(snap.counterValue("edgesim_breaker_short_circuits_total",
+                              {{"cluster", "docker-egs"}}),
+            breaker.shortCircuits());
   EXPECT_EQ(controller.dispatcher().deploymentsTriggered(), 2u);
   EXPECT_EQ(controller.requestsResolved(),
             static_cast<std::uint64_t>(kRequests));
@@ -705,6 +713,13 @@ TEST(OverloadEndToEnd, BrownoutForcesImmediateRedirectsAfterShedBurst) {
 
   EXPECT_EQ(answered.load(), 3);
   EXPECT_EQ(bed.governor()->brownoutEntries(), 1u);
+  // The registry polls the governor's own counts.
+  const auto snap = bed.telemetry().snapshot(bed.sim().now().toSeconds());
+  EXPECT_EQ(snap.counterValue("edgesim_brownout_transitions_total",
+                              {{"to", "active"}}),
+            bed.governor()->brownoutEntries());
+  EXPECT_EQ(snap.counterTotal("edgesim_shed_total"),
+            bed.governor()->shedCount());
   ASSERT_TRUE(fourth.has_value());
   ASSERT_TRUE(fourth->ok());
   EXPECT_TRUE(fourth->value().degraded);

@@ -248,6 +248,30 @@ TEST(SnapshotTest, GaugeFnIsPolledAtSnapshotTime) {
   registry.gaugeFn("dropped_events", {}, [] { return 1.0; });
   EXPECT_DOUBLE_EQ(registry.snapshot(0.0).findGauge("dropped_events")->value,
                    1.0);
+
+  // counterFn: the counter version, exported with counter type.
+  std::uint64_t resolved = 41;
+  registry.counterFn("resolved_total", {{"path", "warm"}},
+                     [&resolved] { return resolved; });
+  resolved = 42;
+  const TelemetrySnapshot snap = registry.snapshot(2.0);
+  EXPECT_EQ(snap.counterValue("resolved_total", {{"path", "warm"}}), 42u);
+  EXPECT_EQ(snap.findGauge("resolved_total", {{"path", "warm"}}), nullptr);
+  EXPECT_EQ(registry.counterValue("resolved_total", {{"path", "warm"}}), 42u);
+  const std::string prom = snap.toPrometheus();
+  EXPECT_NE(prom.find("# TYPE resolved_total counter\n"), std::string::npos);
+  EXPECT_NE(prom.find("resolved_total{path=\"warm\"} 42\n"), std::string::npos);
+  EXPECT_TRUE(lintPrometheus(prom).ok());
+  const auto reread = TelemetrySnapshot::fromJson(snap.toJson());
+  ASSERT_TRUE(reread.ok());
+  EXPECT_EQ(reread.value().counterValue("resolved_total", {{"path", "warm"}}),
+            42u);
+  EXPECT_EQ(reread.value().findGauge("resolved_total", {{"path", "warm"}}),
+            nullptr);
+  // Re-registering replaces the callback.
+  registry.counterFn("resolved_total", {{"path", "warm"}}, [] { return 7u; });
+  const TelemetrySnapshot replaced = registry.snapshot(3.0);
+  EXPECT_EQ(replaced.counterValue("resolved_total", {{"path", "warm"}}), 7u);
 }
 
 // ---- Prometheus lint --------------------------------------------------------
@@ -312,7 +336,7 @@ TEST(SloWatchdogTest, LatencyBreachCapturesWorstRequestSpans) {
   Simulation sim;
   MetricsRegistry registry;
   TraceRecorder trace;
-  SloWatchdog watchdog(sim, registry, &trace);
+  SloWatchdog watchdog(sim, registry, trace);
 
   SloBudget budget;
   budget.name = "resolve-p95";
@@ -361,7 +385,8 @@ TEST(SloWatchdogTest, LatencyBreachCapturesWorstRequestSpans) {
 TEST(SloWatchdogTest, NoBreachUnderBudgetOrBelowMinSamples) {
   Simulation sim;
   MetricsRegistry registry;
-  SloWatchdog watchdog(sim, registry);
+  TraceRecorder trace;
+  SloWatchdog watchdog(sim, registry, trace);
 
   SloBudget budget;
   budget.name = "fast";
@@ -385,7 +410,8 @@ TEST(SloWatchdogTest, NoBreachUnderBudgetOrBelowMinSamples) {
 TEST(SloWatchdogTest, ErrorBudgetUsesWindowedRatio) {
   Simulation sim;
   MetricsRegistry registry;
-  SloWatchdog watchdog(sim, registry);
+  TraceRecorder trace;
+  SloWatchdog watchdog(sim, registry, trace);
 
   SloBudget budget;
   budget.name = "errors";

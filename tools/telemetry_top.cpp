@@ -219,6 +219,9 @@ void renderOverload(const TelemetrySnapshot& snap, std::string& out) {
 }
 
 void renderHandovers(const TelemetrySnapshot& snap, std::string& out) {
+  // The series exist from the start in every telemetry-enabled run; a
+  // mobility-free run leaves them at zero and renders nothing.
+  if (snap.counterTotal("edgesim_handovers_total") == 0) return;
   Table table({"outcome", "handovers"});
   for (const auto& counter : snap.counters) {
     if (counter.name != "edgesim_handovers_total") continue;
@@ -228,11 +231,7 @@ void renderHandovers(const TelemetrySnapshot& snap, std::string& out) {
   const auto* latency = snap.findHistogram("edgesim_handover_latency_seconds");
   const auto* gap =
       snap.findHistogram("edgesim_handover_continuity_gap_seconds");
-  // The series register lazily on the first handover: nothing to show for
-  // a mobility-free run.
-  if (table.rowCount() == 0 && latency == nullptr && gap == nullptr) return;
-  out += "mobility handovers\n";
-  if (table.rowCount() > 0) out += table.render();
+  out += "mobility handovers\n" + table.render();
   Table timings({"metric", "count", "p50 (ms)", "p95 (ms)"});
   if (latency != nullptr) {
     timings.addRow({"latency", fmtCount(latency->count),
@@ -249,8 +248,8 @@ void renderHandovers(const TelemetrySnapshot& snap, std::string& out) {
 
 void renderControlChannel(const TelemetrySnapshot& snap, std::string& out) {
   // Per-switch channel health: drops by direction, restarts, buffer
-  // evictions.  All of these register lazily on the first fault, so a
-  // clean run renders nothing.
+  // evictions.  The series exist from the start; only switches with a
+  // nonzero value get a row, so a clean run renders nothing.
   struct SwitchRow {
     std::uint64_t dropsC2s = 0, dropsS2c = 0, restarts = 0, evictions = 0;
   };
@@ -273,6 +272,9 @@ void renderControlChannel(const TelemetrySnapshot& snap, std::string& out) {
   Table switches({"switch", "drops c2s", "drops s2c", "restarts",
                   "buffer evictions"});
   for (const auto& [sw, row] : bySwitch) {
+    if (row.dropsC2s + row.dropsS2c + row.restarts + row.evictions == 0) {
+      continue;
+    }
     switches.addRow({sw, fmtCount(row.dropsC2s), fmtCount(row.dropsS2c),
                      fmtCount(row.restarts), fmtCount(row.evictions)});
   }
@@ -294,7 +296,9 @@ void renderControlChannel(const TelemetrySnapshot& snap, std::string& out) {
   // Anti-entropy sweeps: drift found/repaired plus sweep latency tail.
   const auto sweeps = snap.counterTotal("edgesim_reconcile_sweeps_total");
   const auto* sweepHist = snap.findHistogram("edgesim_reconcile_sweep_seconds");
-  const bool haveAcks = acked + timedOut + retries + failovers > 0;
+  // Every FlowMod of a clean run is acked: only a timeout, resend or
+  // failover makes the acked-install line worth showing.
+  const bool haveAcks = timedOut + retries + failovers > 0;
   if (switches.rowCount() == 0 && !haveAcks && sweeps == 0) return;
 
   out += "control channel\n";
