@@ -539,9 +539,23 @@ class EdgeController : public openflow::ControllerApp {
   /// treat every memorized flow as intended switch state: only entries in
   /// this map count.  An entry that vanished *without* a delivered
   /// FlowRemoved (restart wipe, lost notification) stays believed-installed
-  /// and is therefore detected as drift.  Sim thread only.
-  std::map<std::tuple<const openflow::OpenFlowSwitch*, Ipv4, Endpoint>,
-           std::uint64_t>
+  /// and is therefore detected as drift.  Sim thread only.  Accessed by
+  /// key only: its order follows switch addresses, so iterating it would
+  /// make runs nondeterministic.
+  using BelievedKey =
+      std::tuple<const openflow::OpenFlowSwitch*, Ipv4, Endpoint>;
+  struct BelievedKeyHash {
+    std::size_t operator()(const BelievedKey& key) const noexcept {
+      const auto& [sw, client, service] = key;
+      std::size_t h = std::hash<const void*>{}(sw);
+      h ^= std::hash<Ipv4>{}(client) + 0x9e3779b97f4a7c15ULL + (h << 6) +
+           (h >> 2);
+      h ^= std::hash<Endpoint>{}(service) + 0x9e3779b97f4a7c15ULL + (h << 6) +
+           (h >> 2);
+      return h;
+    }
+  };
+  std::unordered_map<BelievedKey, std::uint64_t, BelievedKeyHash>
       believedInstalled_;
   /// Anti-entropy sweeper (options.reconcilePeriod > 0), started in the
   /// constructor; declared after switches_/memory_ so it tears down first.

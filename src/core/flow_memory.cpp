@@ -1,7 +1,8 @@
 #include "core/flow_memory.hpp"
 
-#include <algorithm>
 #include <mutex>
+
+#include "util/assert.hpp"
 
 namespace edgesim::core {
 
@@ -39,15 +40,19 @@ void FlowMemory::upsert(Ipv4 client, Endpoint service, Endpoint instance,
   std::unique_lock lock(shard.mutex);
   auto [it, inserted] = shard.flows.try_emplace(key);
   StoredFlow& stored = it->second;
+  if (inserted) {
+    shard.countLive(service, cluster);
+    size_.fetch_add(1, std::memory_order_relaxed);
+    if (shard.occupancy != nullptr) shard.occupancy->add(1);
+  } else if (stored.cluster != cluster) {
+    shard.uncountLive(service, stored.cluster);
+    shard.countLive(service, cluster);
+  }
   stored.client = Endpoint(client, 0);
   stored.service = service;
   stored.instance = instance;
   stored.cluster = cluster;
   stored.lastSeenNanos.store(now.toNanos(), std::memory_order_relaxed);
-  if (inserted) {
-    size_.fetch_add(1, std::memory_order_relaxed);
-    if (shard.occupancy != nullptr) shard.occupancy->add(1);
-  }
 }
 
 void FlowMemory::touch(Ipv4 client, Endpoint service, SimTime now) {
@@ -75,6 +80,10 @@ bool FlowMemory::rebind(Ipv4 client, Endpoint service, Endpoint instance,
   const auto it = shard.flows.find(key);
   if (it == shard.flows.end()) return false;
   StoredFlow& stored = it->second;
+  if (stored.cluster != cluster) {
+    shard.uncountLive(service, stored.cluster);
+    shard.countLive(service, cluster);
+  }
   stored.instance = instance;
   stored.cluster = cluster;
   stored.lastSeenNanos.store(now.toNanos(), std::memory_order_relaxed);
@@ -130,10 +139,7 @@ std::vector<MemorizedFlow> FlowMemory::expire(SimTime now) {
           it->second.lastSeenNanos.load(std::memory_order_relaxed));
       if (now - lastSeen >= idleTimeout_) {
         expired.push_back(it->second.snapshot());
-        it = shard.flows.erase(it);
-        size_.fetch_sub(1, std::memory_order_relaxed);
-        if (shard.expirations != nullptr) shard.expirations->add();
-        if (shard.occupancy != nullptr) shard.occupancy->add(-1);
+        it = erase(shard, it, shard.expirations);
       } else {
         ++it;
       }
@@ -148,10 +154,7 @@ void FlowMemory::forgetInstance(Endpoint instance) {
     std::unique_lock lock(shard.mutex);
     for (auto it = shard.flows.begin(); it != shard.flows.end();) {
       if (it->second.instance == instance) {
-        it = shard.flows.erase(it);
-        size_.fetch_sub(1, std::memory_order_relaxed);
-        if (shard.invalidations != nullptr) shard.invalidations->add();
-        if (shard.occupancy != nullptr) shard.occupancy->add(-1);
+        it = erase(shard, it, shard.invalidations);
       } else {
         ++it;
       }
@@ -166,10 +169,7 @@ void FlowMemory::forgetServiceExcept(Endpoint service,
     std::unique_lock lock(shard.mutex);
     for (auto it = shard.flows.begin(); it != shard.flows.end();) {
       if (it->second.service == service && it->second.cluster != keepCluster) {
-        it = shard.flows.erase(it);
-        size_.fetch_sub(1, std::memory_order_relaxed);
-        if (shard.invalidations != nullptr) shard.invalidations->add();
-        if (shard.occupancy != nullptr) shard.occupancy->add(-1);
+        it = erase(shard, it, shard.invalidations);
       } else {
         ++it;
       }
@@ -179,15 +179,38 @@ void FlowMemory::forgetServiceExcept(Endpoint service,
 
 std::size_t FlowMemory::flowsFor(Endpoint service,
                                  const std::string& cluster) const {
+  const LiveKey key{service, cluster};
   std::size_t count = 0;
   for (const auto& shardPtr : shards_) {
     const Shard& shard = *shardPtr;
     std::shared_lock lock(shard.mutex);
-    for (const auto& [key, flow] : shard.flows) {
-      if (flow.service == service && flow.cluster == cluster) ++count;
-    }
+    const auto it = shard.live.find(key);
+    if (it != shard.live.end()) count += it->second;
   }
   return count;
+}
+
+void FlowMemory::Shard::countLive(const Endpoint& service,
+                                  const std::string& cluster) {
+  ++live[LiveKey{service, cluster}];
+}
+
+void FlowMemory::Shard::uncountLive(const Endpoint& service,
+                                    const std::string& cluster) {
+  const auto it = live.find(LiveKey{service, cluster});
+  ES_ASSERT_MSG(it != live.end(),
+                "FlowMemory: uncounting a pair with no live flow");
+  if (--it->second == 0) live.erase(it);
+}
+
+FlowMemory::FlowMap::iterator FlowMemory::erase(Shard& shard,
+                                                FlowMap::iterator it,
+                                                telemetry::Counter* reason) {
+  shard.uncountLive(it->second.service, it->second.cluster);
+  size_.fetch_sub(1, std::memory_order_relaxed);
+  if (reason != nullptr) reason->add();
+  if (shard.occupancy != nullptr) shard.occupancy->add(-1);
+  return shard.flows.erase(it);
 }
 
 }  // namespace edgesim::core

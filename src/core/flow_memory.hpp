@@ -12,7 +12,10 @@
 // on every remembered packet-in -- takes only the shard's SHARED lock;
 // touch() refreshes last-seen with a CAS-max on an atomic, so concurrent
 // readers never serialize against each other and never take a write lock.
-// Mutations (upsert, expire, forget*) take the shard's exclusive lock.
+// Mutations (upsert, rebind, expire, forget*) take the shard's exclusive
+// lock.  Each shard also keeps a live count per (service, cluster), updated
+// by every mutation under that same lock, so flowsFor() -- the scale-down
+// check -- sums one hash entry per shard instead of scanning every flow.
 //
 // Determinism: with shards == 1 (the default) every operation hits one
 // unordered_map through the exact op sequence of the pre-shard layout, so
@@ -30,6 +33,7 @@
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "net/addr.hpp"
@@ -104,7 +108,8 @@ class FlowMemory {
   void forgetServiceExcept(Endpoint service, const std::string& keepCluster);
 
   /// Number of live flows referring to (service, cluster); the scale-down
-  /// policy keys off this reaching zero.
+  /// policy keys off this reaching zero.  O(shards): sums each shard's live
+  /// count under its shared lock.
   std::size_t flowsFor(Endpoint service, const std::string& cluster) const;
 
   std::size_t size() const { return size_.load(std::memory_order_relaxed); }
@@ -144,9 +149,25 @@ class FlowMemory {
     }
   };
 
+  using FlowMap = std::unordered_map<Key, StoredFlow, KeyHash>;
+  using LiveKey = std::pair<Endpoint, std::string>;  // (service, cluster)
+  struct LiveKeyHash {
+    std::size_t operator()(const LiveKey& key) const noexcept {
+      const auto h1 = std::hash<Endpoint>{}(key.first);
+      const auto h2 = std::hash<std::string>{}(key.second);
+      return h1 ^ (h2 + 0x9e3779b97f4a7c15ULL + (h1 << 6) + (h1 >> 2));
+    }
+  };
+
   struct Shard {
     mutable std::shared_mutex mutex;
-    std::unordered_map<Key, StoredFlow, KeyHash> flows;
+    FlowMap flows;
+    /// Invariant: live[{s, c}] == number of `flows` entries with service s
+    /// and cluster c.  Pairs with no live flow have no entry.
+    std::unordered_map<LiveKey, std::size_t, LiveKeyHash> live;
+    void countLive(const Endpoint& service, const std::string& cluster);
+    /// Aborts when the pair has no live count: a bookkeeping bug.
+    void uncountLive(const Endpoint& service, const std::string& cluster);
     // Telemetry handles (null when telemetry is off).  The counters stripe
     // internally, so the shared-lock warm path can bump them without
     // serializing against other readers of this shard.
@@ -163,6 +184,11 @@ class FlowMemory {
   const Shard& shardFor(const Key& key) const {
     return *shards_[KeyHash{}(key) % shards_.size()];
   }
+
+  /// Erase one flow under the shard's exclusive lock, keeping size, live
+  /// counts and telemetry in step; `reason` is the eviction counter to bump.
+  FlowMap::iterator erase(Shard& shard, FlowMap::iterator it,
+                          telemetry::Counter* reason);
 
   SimTime idleTimeout_;
   std::vector<std::unique_ptr<Shard>> shards_;

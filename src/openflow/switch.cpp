@@ -196,10 +196,14 @@ void OpenFlowSwitch::requestFlowStats(StatsCallback cb) {
   if (!request) return;  // request lost: the callback never fires
   network().sim().schedule(*request, [this, cb = std::move(cb)] {
     if (rebooting_) return;  // switch down when the request lands
-    const std::vector<FlowEntry> snapshot = table_.entries();
     const auto reply = controlDelay(Direction::kToController);
     if (!reply) return;  // reply lost
-    network().sim().schedule(*reply, [cb, snapshot] { cb(snapshot); });
+    // The table is copied once, into the reply, as it stood when the
+    // request landed.
+    network().sim().schedule(
+        *reply, [cb, snapshot = table_.entries()]() mutable {
+          cb(std::move(snapshot));
+        });
   });
 }
 

@@ -167,6 +167,9 @@ TEST(FlowMemoryConcurrency, ExpiryRaceExpiresEachFlowExactlyOnce) {
     }
   }
   EXPECT_EQ(memory.size(), 0u);
+  // A lost or doubled live-count decrement would leave the scale-down
+  // check disagreeing with the flows actually memorized.
+  EXPECT_EQ(memory.flowsFor(kSvc, "docker-egs"), memory.size());
   for (int i = 0; i < kKeys; ++i) {
     EXPECT_EQ(expiredCount[i], 1) << "flow " << i
                                   << " expired a wrong number of times";

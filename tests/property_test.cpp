@@ -195,71 +195,117 @@ TEST(DeterminismProperty, IdenticalAcrossRunsForManySeeds) {
 
 TEST(FlowMemoryModel, MatchesReferenceMapUnderRandomOps) {
   using core::FlowMemory;
-  Rng rng(424242);
   const SimTime timeout = SimTime::seconds(10.0);
-  FlowMemory memory(timeout);
+  const std::vector<std::string> clusters{"near", "far"};
 
   struct RefFlow {
     Endpoint instance;
     std::string cluster;
     SimTime lastSeen;
   };
-  std::map<std::pair<Ipv4, Endpoint>, RefFlow> reference;
 
-  SimTime now;
-  for (int step = 0; step < 2000; ++step) {
-    now += SimTime::millis(static_cast<std::int64_t>(rng.uniformInt(1, 2000)));
-    const Ipv4 client(10, 0, 2, static_cast<std::uint8_t>(rng.uniformInt(1, 5)));
-    const Endpoint service(
-        Ipv4(203, 0, 113, static_cast<std::uint8_t>(rng.uniformInt(1, 3))), 80);
-    const Endpoint instance(
-        Ipv4(10, 0, 1, 1),
-        static_cast<std::uint16_t>(30000 + rng.uniformInt(0, 3)));
-    const std::string cluster = rng.chance(0.5) ? "near" : "far";
+  // The same op sequence on one shard and on four: the per-shard live
+  // counts must sum to the reference's (service, cluster) counts either way.
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Rng rng(424242);
+    FlowMemory memory(timeout, shards);
+    std::map<std::pair<Ipv4, Endpoint>, RefFlow> reference;
 
-    switch (rng.uniformInt(0, 3)) {
-      case 0:
-        memory.upsert(client.value ? client : client, service, instance,
-                      cluster, now);
-        reference[{client, service}] = RefFlow{instance, cluster, now};
-        break;
-      case 1: {
-        memory.touch(client, service, now);
-        const auto it = reference.find({client, service});
-        if (it != reference.end()) {
-          it->second.lastSeen = std::max(it->second.lastSeen, now);
-        }
-        break;
-      }
-      case 2: {
-        const auto expired = memory.expire(now);
-        std::size_t refExpired = 0;
-        for (auto it = reference.begin(); it != reference.end();) {
-          if (now - it->second.lastSeen >= timeout) {
-            it = reference.erase(it);
-            ++refExpired;
-          } else {
-            ++it;
+    SimTime now;
+    for (int step = 0; step < 2000; ++step) {
+      now +=
+          SimTime::millis(static_cast<std::int64_t>(rng.uniformInt(1, 2000)));
+      const Ipv4 client(10, 0, 2,
+                        static_cast<std::uint8_t>(rng.uniformInt(1, 5)));
+      const Endpoint service(
+          Ipv4(203, 0, 113, static_cast<std::uint8_t>(rng.uniformInt(1, 3))),
+          80);
+      const Endpoint instance(
+          Ipv4(10, 0, 1, 1),
+          static_cast<std::uint16_t>(30000 + rng.uniformInt(0, 3)));
+      const std::string cluster = rng.chance(0.5) ? "near" : "far";
+
+      switch (rng.uniformInt(0, 6)) {
+        case 0:
+          memory.upsert(client, service, instance, cluster, now);
+          reference[{client, service}] = RefFlow{instance, cluster, now};
+          break;
+        case 1: {
+          memory.touch(client, service, now);
+          const auto it = reference.find({client, service});
+          if (it != reference.end()) {
+            it->second.lastSeen = std::max(it->second.lastSeen, now);
           }
+          break;
         }
-        EXPECT_EQ(expired.size(), refExpired);
-        break;
+        case 2: {
+          const auto expired = memory.expire(now);
+          std::size_t refExpired = 0;
+          for (auto it = reference.begin(); it != reference.end();) {
+            if (now - it->second.lastSeen >= timeout) {
+              it = reference.erase(it);
+              ++refExpired;
+            } else {
+              ++it;
+            }
+          }
+          EXPECT_EQ(expired.size(), refExpired);
+          break;
+        }
+        case 3: {
+          const bool rebound =
+              memory.rebind(client, service, instance, cluster, now);
+          const auto it = reference.find({client, service});
+          EXPECT_EQ(rebound, it != reference.end());
+          if (it != reference.end()) {
+            it->second = RefFlow{instance, cluster, now};
+          }
+          break;
+        }
+        case 4:
+          memory.forgetInstance(instance);
+          std::erase_if(reference, [&](const auto& entry) {
+            return entry.second.instance == instance;
+          });
+          break;
+        case 5:
+          memory.forgetServiceExcept(service, cluster);
+          std::erase_if(reference, [&](const auto& entry) {
+            return entry.first.second == service &&
+                   entry.second.cluster != cluster;
+          });
+          break;
+        default: {
+          const auto flow = memory.lookup(client, service);
+          const auto it = reference.find({client, service});
+          if (it == reference.end()) {
+            EXPECT_FALSE(flow.has_value());
+          } else {
+            ASSERT_TRUE(flow.has_value());
+            EXPECT_EQ(flow->instance, it->second.instance);
+            EXPECT_EQ(flow->cluster, it->second.cluster);
+            EXPECT_EQ(flow->lastSeen, it->second.lastSeen);
+          }
+          break;
+        }
       }
-      default: {
-        const auto flow = memory.lookup(client, service);
-        const auto it = reference.find({client, service});
-        if (it == reference.end()) {
-          EXPECT_FALSE(flow.has_value());
-        } else {
-          ASSERT_TRUE(flow.has_value());
-          EXPECT_EQ(flow->instance, it->second.instance);
-          EXPECT_EQ(flow->cluster, it->second.cluster);
-          EXPECT_EQ(flow->lastSeen, it->second.lastSeen);
+      EXPECT_EQ(memory.size(), reference.size());
+      for (std::uint8_t host = 1; host <= 3; ++host) {
+        const Endpoint svc(Ipv4(203, 0, 113, host), 80);
+        for (const auto& name : clusters) {
+          const auto expected = static_cast<std::size_t>(
+              std::count_if(reference.begin(), reference.end(),
+                            [&](const auto& entry) {
+                              return entry.first.second == svc &&
+                                     entry.second.cluster == name;
+                            }));
+          EXPECT_EQ(memory.flowsFor(svc, name), expected)
+              << "step " << step << " service " << svc.toString() << " "
+              << name;
         }
-        break;
       }
     }
-    EXPECT_EQ(memory.size(), reference.size());
   }
 }
 
